@@ -53,16 +53,21 @@ pub fn ablation(scale: Scale) -> ExperimentReport {
         .choose(&dendro)
         .expect("adaptive choice");
     body.push_str("threshold rule (average linkage):\n");
-    for t in [0.05, 0.1, 0.2, 0.4] {
-        body.push_str(&format!(
-            "  fixed {t:.2}: {} clusters\n",
-            dendro.cluster_count(t)
-        ));
+    let fixed = [0.05, 0.1, 0.2, 0.4].map(|t| dendro.cluster_count(t));
+    for (t, n) in [0.05, 0.1, 0.2, 0.4].iter().zip(fixed) {
+        body.push_str(&format!("  fixed {t:.2}: {n} clusters\n"));
     }
+    let placement = if fixed.iter().all(|&n| adaptive.clusters > n) {
+        "cuts finer than every fixed threshold"
+    } else if fixed.iter().all(|&n| adaptive.clusters < n) {
+        "cuts coarser than every fixed threshold"
+    } else {
+        "lands between the fixed cuts"
+    };
     body.push_str(&format!(
         "  adaptive (paper rule): threshold {:.2} → {} clusters\n\
-         → fixed cuts either shatter or collapse the timeline; the paper's\n\
-         \x20 first-model-under-15-clusters rule lands between.\n\n",
+         → the paper's first-model-under-15-clusters rule\n\
+         \x20 {placement}.\n\n",
         adaptive.threshold, adaptive.clusters
     ));
 

@@ -253,32 +253,42 @@ pub fn fig4(scale: Scale) -> ExperimentReport {
             .map(|(_, n)| format!("{n:>6}"))
             .collect::<String>()
     ));
+    let p90_at = |id, target| {
+        lat.summaries
+            .iter()
+            .filter(|s| s.time >= target)
+            .map(|s| s.site(id).p90_ms)
+            .next()
+            .flatten()
+    };
     for (y, m) in quarters {
         let target = Timestamp::from_ymd(y, m, 1);
         let row: String = series
             .sites()
             .ids()
-            .map(|id| {
-                let v = lat
-                    .summaries
-                    .iter()
-                    .filter(|s| s.time >= target)
-                    .map(|s| s.site(id).p90_ms)
-                    .next()
-                    .flatten();
-                match v {
-                    Some(x) => format!("{x:>6.0}"),
-                    None => format!("{:>6}", "-"),
-                }
+            .map(|id| match p90_at(id, target) {
+                Some(x) => format!("{x:>6.0}"),
+                None => format!("{:>6}", "-"),
             })
             .collect();
         body.push_str(&format!("  {y}-{m:02}    {row}\n"));
     }
-    body.push_str(
+    let scl_sampled = series.sites().iter().any(|(id, name)| {
+        name == "SCL"
+            && quarters
+                .iter()
+                .any(|&(y, m)| p90_at(id, Timestamp::from_ymd(y, m, 1)).is_some())
+    });
+    body.push_str(if scl_sampled {
         "\npaper shape: ARI serves distant clients at high latency until its\n\
          2023-03-06 shutdown (column goes '-'); SCL appears mid-2023 with low\n\
-         regional latency. Both visible above.\n",
-    );
+         regional latency. Both visible above.\n"
+    } else {
+        "\npaper shape: ARI serves distant clients at high latency until its\n\
+         2023-03-06 shutdown (column goes '-'), visible above. The paper's SCL\n\
+         appears mid-2023 with low regional latency; no quarterly sample above\n\
+         has an SCL p90, so that part of the shape is not shown here.\n"
+    });
     ExperimentReport {
         id: "fig4",
         title: "90th-percentile latency of B-Root per catchment",

@@ -52,6 +52,7 @@
 //! assert!((phi - 0.75).abs() < 1e-12); // 3 of 4 networks kept their catchment
 //! ```
 
+pub mod backoff;
 pub mod clean;
 pub mod cluster;
 pub mod detect;

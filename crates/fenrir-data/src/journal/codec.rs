@@ -1,4 +1,4 @@
-//! Binary payload encoding for journal frames.
+//! Binary encoding for every durable record and frame.
 //!
 //! Hand-rolled little-endian codec with a fixed, versioned field order —
 //! the journal's durability contract is byte-exact, so every value is
@@ -10,11 +10,22 @@
 //! the remaining payload *before* any allocation, lengths are validated
 //! against the bytes actually present, and malformed data surfaces as a
 //! typed [`Error::Corrupted`] carrying the byte offset — never a panic.
+//!
+//! This module also owns the integrity envelope, once for every format:
+//!
+//! * **Sealed records** — the lease, the WAL head and records, and the
+//!   tier manifest — are `magic ‖ body ‖ sum`, written by [`seal`] and
+//!   verified by [`open`], where `sum` is the RFC 1071 internet
+//!   checksum over magic and body.
+//! * **Frames** — journal frames and serve protocol frames — carry a
+//!   6-byte header and a payload, both covered by [`frame_sum`].
 
 use fenrir_core::error::{Error, Result};
 use fenrir_core::health::CampaignHealth;
 use fenrir_core::time::Timestamp;
 use fenrir_measure::{ResumeState, SweepCheckpoint};
+use fenrir_wire::checksum;
+pub use fenrir_wire::checksum::internet_checksum;
 
 // ---------------------------------------------------------------------
 // Writers.
@@ -60,6 +71,13 @@ pub fn put_str(out: &mut Vec<u8>, s: &str) {
     out.extend_from_slice(s.as_bytes());
 }
 
+/// Append a UTF-8 string behind a `u16` length, as the lease holder and
+/// the manifest's segment keys are stored (at most `u16::MAX` bytes).
+pub fn put_str16(out: &mut Vec<u8>, s: &str) {
+    put_u16(out, s.len() as u16);
+    out.extend_from_slice(s.as_bytes());
+}
+
 /// Append a length-prefixed sequence, one element at a time.
 pub fn put_seq<T>(out: &mut Vec<u8>, items: &[T], mut f: impl FnMut(&mut Vec<u8>, &T)) {
     put_usize(out, items.len());
@@ -85,7 +103,9 @@ impl<'a> Dec<'a> {
         Dec { data, pos: 0, what }
     }
 
-    fn corrupt(&self, message: String) -> Error {
+    /// A corruption error at the current offset, for record-level
+    /// checks (field ranges, ordering) made after the reads.
+    pub fn corrupt(&self, message: String) -> Error {
         Error::Corrupted {
             what: self.what,
             offset: self.pos,
@@ -176,6 +196,16 @@ impl<'a> Dec<'a> {
     /// Read a length-prefixed UTF-8 string.
     pub fn str(&mut self) -> Result<String> {
         let n = self.seq_len(1)?;
+        self.utf8(n)
+    }
+
+    /// Read a UTF-8 string behind a `u16` length (see [`put_str16`]).
+    pub fn str16(&mut self) -> Result<String> {
+        let n = usize::from(self.u16()?);
+        self.utf8(n)
+    }
+
+    fn utf8(&mut self, n: usize) -> Result<String> {
         let bytes = self.take(n)?;
         String::from_utf8(bytes.to_vec()).map_err(|e| self.corrupt(format!("invalid UTF-8: {e}")))
     }
@@ -187,6 +217,62 @@ impl<'a> Dec<'a> {
         }
         Ok(())
     }
+}
+
+// ---------------------------------------------------------------------
+// Integrity envelope.
+
+/// Seal one durable record: `magic ‖ body ‖ sum`, where `body` appends
+/// the record's fields with the `put_*` writers and `sum` (u16 LE) is
+/// the internet checksum over magic and body.
+pub fn seal(magic: [u8; 4], body: impl FnOnce(&mut Vec<u8>)) -> Vec<u8> {
+    let mut out = magic.to_vec();
+    body(&mut out);
+    let sum = internet_checksum(&out);
+    put_u16(&mut out, sum);
+    out
+}
+
+/// Open a record sealed by [`seal`]: check its length, magic and sum,
+/// then return a decoder over the body. `what` names the record kind in
+/// errors, whose offsets count from the start of the record. Callers
+/// read every field and end with [`Dec::finish`].
+pub fn open<'a>(bytes: &'a [u8], magic: [u8; 4], what: &'static str) -> Result<Dec<'a>> {
+    let corrupt = |offset, message| Error::Corrupted {
+        what,
+        offset,
+        message,
+    };
+    if bytes.len() < magic.len() + 2 {
+        return Err(corrupt(
+            bytes.len(),
+            format!("{what} truncated to {} bytes", bytes.len()),
+        ));
+    }
+    if bytes[..4] != magic {
+        return Err(corrupt(0, format!("bad magic {:02x?}", &bytes[..4])));
+    }
+    let end = bytes.len() - 2;
+    let stored = u16::from_le_bytes([bytes[end], bytes[end + 1]]);
+    let computed = internet_checksum(&bytes[..end]);
+    if stored != computed {
+        return Err(corrupt(
+            end,
+            format!("{what} checksum mismatch (stored {stored:#06x}, computed {computed:#06x})"),
+        ));
+    }
+    Ok(Dec {
+        data: &bytes[..end],
+        pos: magic.len(),
+        what,
+    })
+}
+
+/// The sum a frame carries: the internet checksum of `head ‖ payload`,
+/// computed in place. Exact because the head has an even length, so
+/// the payload's 16-bit words keep their alignment.
+pub fn frame_sum(head: &[u8; 6], payload: &[u8]) -> u16 {
+    checksum::finish(checksum::accumulate(checksum::accumulate(0, head), payload))
 }
 
 // ---------------------------------------------------------------------
@@ -423,6 +509,49 @@ mod tests {
         let mut d = Dec::new(&out, "test");
         assert!(matches!(d.f64(), Err(Error::Corrupted { .. })));
         assert!(matches!(d.bool(), Err(Error::Corrupted { .. })));
+    }
+
+    /// `frame_sum` sums the head and payload in place; it must equal
+    /// the checksum over their concatenation for every payload length,
+    /// odd and even, up to a full-size snapshot frame.
+    #[test]
+    fn frame_sum_equals_the_checksum_of_head_and_payload() {
+        fenrir_core::rng::for_each_case("frame_sum", 64, |rng| {
+            let head: [u8; 6] = std::array::from_fn(|_| rng.gen());
+            let len = match rng.gen_range(0..16u32) {
+                0 => 0,
+                1 => 2_356_224 + rng.gen_range(0..2usize),
+                _ => rng.gen_range(1..4_096usize),
+            };
+            let mut payload = vec![0u8; len];
+            for chunk in payload.chunks_mut(8) {
+                chunk.copy_from_slice(&rng.next_u64().to_le_bytes()[..chunk.len()]);
+            }
+            let whole = [&head[..], &payload].concat();
+            assert_eq!(
+                frame_sum(&head, &payload),
+                internet_checksum(&whole),
+                "len {len}"
+            );
+        });
+    }
+
+    #[test]
+    fn sealed_records_open_to_their_body() {
+        let sealed = seal(*b"TEST", |b| put_str16(b, "Φ"));
+        let mut d = open(&sealed, *b"TEST", "test record").unwrap();
+        assert_eq!(d.str16().unwrap(), "Φ");
+        d.finish().unwrap();
+        for bad in [&sealed[..5], &sealed[1..]] {
+            assert!(matches!(
+                open(bad, *b"TEST", "test record"),
+                Err(Error::Corrupted {
+                    what: "test record",
+                    ..
+                })
+            ));
+        }
+        assert!(open(&sealed, *b"TSET", "test record").is_err());
     }
 
     #[test]

@@ -7,9 +7,9 @@
 //! collectors actually see:
 //!
 //! * **Torn writes.** A crash mid-append leaves a truncated or garbled
-//!   trailing frame. Every frame carries a checksum (reusing
-//!   `fenrir-wire`'s RFC 1071 internet checksum — the same integrity
-//!   primitive the probe packets use), so loading detects the torn tail,
+//!   trailing frame. Every frame carries a checksum ([`codec::frame_sum`],
+//!   the RFC 1071 internet checksum the probe packets and the serve
+//!   protocol frames also use), so loading detects the torn tail,
 //!   drops it, reports it in a [`RecoveryReport`], and resumes from the
 //!   clean prefix instead of poisoning the load.
 //! * **Unbounded growth.** Append-only journals grow forever; snapshot
@@ -40,7 +40,6 @@ pub use pipeline::{PipelineConfig, PipelineMeta, RecoverablePipeline};
 pub use sink::{CampaignMeta, JournalSink};
 
 use fenrir_core::error::{Error, Result};
-use fenrir_wire::checksum::internet_checksum;
 use std::fmt;
 use std::fs::{File, OpenOptions};
 use std::io::Write;
@@ -112,12 +111,19 @@ impl fmt::Display for RecoveryReport {
     }
 }
 
-fn frame_checksum(kind: u16, payload: &[u8]) -> u16 {
-    let mut data = Vec::with_capacity(6 + payload.len());
-    data.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    data.extend_from_slice(&kind.to_le_bytes());
-    data.extend_from_slice(payload);
-    internet_checksum(&data)
+/// Append one frame — header, [`codec::frame_sum`], payload — to `out`.
+fn put_frame(out: &mut Vec<u8>, kind: u16, payload: &[u8]) -> Result<()> {
+    let len = u32::try_from(payload.len()).map_err(|_| Error::InvalidParameter {
+        name: "frame payload",
+        message: format!("{} bytes exceeds the u32 frame length", payload.len()),
+    })?;
+    let mut head = [0u8; 6];
+    head[..4].copy_from_slice(&len.to_le_bytes());
+    head[4..].copy_from_slice(&kind.to_le_bytes());
+    out.extend_from_slice(&head);
+    codec::put_u16(out, codec::frame_sum(&head, payload));
+    out.extend_from_slice(payload);
+    Ok(())
 }
 
 fn header_bytes() -> [u8; HEADER_LEN] {
@@ -141,16 +147,7 @@ fn io_err(what: &'static str, e: std::io::Error) -> Error {
 pub(crate) fn encode_frames(frames: &[(u16, Vec<u8>)]) -> Result<Vec<u8>> {
     let mut buf = header_bytes().to_vec();
     for (kind, payload) in frames {
-        if payload.len() > u32::MAX as usize {
-            return Err(Error::InvalidParameter {
-                name: "frame payload",
-                message: format!("{} bytes exceeds the u32 frame length", payload.len()),
-            });
-        }
-        buf.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        buf.extend_from_slice(&kind.to_le_bytes());
-        buf.extend_from_slice(&frame_checksum(*kind, payload).to_le_bytes());
-        buf.extend_from_slice(payload);
+        put_frame(&mut buf, *kind, payload)?;
     }
     Ok(buf)
 }
@@ -168,7 +165,7 @@ fn compact_tmp(path: &Path) -> PathBuf {
 #[derive(Debug)]
 pub(crate) enum Backend {
     Flat(Journal),
-    Tiered(crate::storage::TieredJournal),
+    Tiered(Box<crate::storage::TieredJournal>),
 }
 
 impl Backend {
@@ -204,7 +201,7 @@ impl Backend {
     pub(crate) fn tier(&self) -> Option<&crate::storage::TieredJournal> {
         match self {
             Backend::Flat(_) => None,
-            Backend::Tiered(t) => Some(t),
+            Backend::Tiered(t) => Some(&**t),
         }
     }
 
@@ -212,7 +209,7 @@ impl Backend {
     pub(crate) fn tier_mut(&mut self) -> Option<&mut crate::storage::TieredJournal> {
         match self {
             Backend::Flat(_) => None,
-            Backend::Tiered(t) => Some(t),
+            Backend::Tiered(t) => Some(&mut **t),
         }
     }
 }
@@ -290,9 +287,12 @@ impl Journal {
                 });
                 break;
             }
-            let len = u32::from_le_bytes(bytes[pos..pos + 4].try_into().unwrap()) as usize;
-            let kind = u16::from_le_bytes(bytes[pos + 4..pos + 6].try_into().unwrap());
-            let sum = u16::from_le_bytes(bytes[pos + 6..pos + 8].try_into().unwrap());
+            let head: &[u8; 6] = bytes[pos..pos + 6]
+                .try_into()
+                .expect("a full frame header remains");
+            let len = u32::from_le_bytes([head[0], head[1], head[2], head[3]]) as usize;
+            let kind = u16::from_le_bytes([head[4], head[5]]);
+            let sum = u16::from_le_bytes([bytes[pos + 6], bytes[pos + 7]]);
             if len > rem - FRAME_HEADER_LEN {
                 torn = Some(TornTail {
                     offset: pos,
@@ -304,7 +304,7 @@ impl Journal {
                 break;
             }
             let payload = &bytes[pos + FRAME_HEADER_LEN..pos + FRAME_HEADER_LEN + len];
-            if frame_checksum(kind, payload) != sum {
+            if codec::frame_sum(head, payload) != sum {
                 torn = Some(TornTail {
                     offset: pos,
                     reason: format!("frame checksum mismatch (kind {kind})"),
@@ -392,17 +392,8 @@ impl Journal {
     /// Append one frame. File-backed journals flush before returning:
     /// success means the frame is durable.
     pub fn append(&mut self, kind: u16, payload: &[u8]) -> Result<()> {
-        if payload.len() > u32::MAX as usize {
-            return Err(Error::InvalidParameter {
-                name: "frame payload",
-                message: format!("{} bytes exceeds the u32 frame length", payload.len()),
-            });
-        }
         let mut frame = Vec::with_capacity(FRAME_HEADER_LEN + payload.len());
-        frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        frame.extend_from_slice(&kind.to_le_bytes());
-        frame.extend_from_slice(&frame_checksum(kind, payload).to_le_bytes());
-        frame.extend_from_slice(payload);
+        put_frame(&mut frame, kind, payload)?;
         if let Some(file) = &mut self.file {
             file.write_all(&frame)
                 .map_err(|e| io_err("journal append", e))?;

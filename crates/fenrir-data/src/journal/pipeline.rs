@@ -241,7 +241,7 @@ impl RecoverablePipeline {
     ) -> Result<Self> {
         let (tiered, frames, report) = TieredJournal::open(hot_path, store, prefix, retry)?;
         Self::attach(
-            Backend::Tiered(tiered),
+            Backend::Tiered(Box::new(tiered)),
             frames,
             report,
             sites,

@@ -112,7 +112,7 @@ impl<Row: JournalRow> JournalSink<Row> {
         meta: CampaignMeta,
     ) -> Result<Self> {
         let (tiered, frames, report) = TieredJournal::open(hot_path, store, prefix, retry)?;
-        Self::attach(Backend::Tiered(tiered), frames, report, meta)
+        Self::attach(Backend::Tiered(Box::new(tiered)), frames, report, meta)
     }
 
     /// Adopt raw journal bytes (e.g. for corruption testing).

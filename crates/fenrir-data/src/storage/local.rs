@@ -319,7 +319,10 @@ mod tests {
         let root = scratch("cas");
         let disk = LocalDisk::open(&root).unwrap();
         // Create-only: succeeds once, conflicts after.
-        assert_eq!(disk.put_if("k", None, b"one").unwrap(), CasOutcome::Committed);
+        assert_eq!(
+            disk.put_if("k", None, b"one").unwrap(),
+            CasOutcome::Committed
+        );
         assert_eq!(
             disk.put_if("k", None, b"again").unwrap(),
             CasOutcome::Conflict {

@@ -13,6 +13,7 @@
 //! through so a misconfigured key cannot burn a whole budget.
 
 use super::is_retryable;
+use fenrir_core::backoff;
 use fenrir_core::error::{Error, Result};
 use fenrir_core::rng::ChaCha8Rng;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -139,7 +140,7 @@ impl RetryPolicy {
             if let Some(stats) = &self.stats {
                 stats.retries.fetch_add(1, Ordering::Relaxed);
             }
-            let jittered = self.backoff_for(attempts, 0.5 + rng.gen::<f64>());
+            let jittered = self.jittered_backoff(attempts, 0.5 + rng.gen::<f64>());
             let remaining = overall.saturating_duration_since(Instant::now());
             let sleep = jittered.min(remaining);
             if !sleep.is_zero() {
@@ -149,17 +150,9 @@ impl RetryPolicy {
     }
 
     /// The backoff before retrying after `attempts` failed tries, with
-    /// `jitter` drawn from `[0.5, 1.5)`.
-    ///
-    /// The ceiling is applied **after** jittering: clamping first and
-    /// jittering second (the old order) let real sleeps exceed the
-    /// documented `backoff_max` by up to 1.5× — jitter is meant to
-    /// desynchronise retrying writers, never to breach the ceiling.
-    pub fn backoff_for(&self, attempts: u32, jitter: f64) -> Duration {
-        let exp = self
-            .backoff_base
-            .saturating_mul(1u32 << (attempts.saturating_sub(1)).min(16));
-        exp.mul_f64(jitter).min(self.backoff_max)
+    /// `jitter` drawn from `[0.5, 1.5)`; never above `backoff_max`.
+    fn jittered_backoff(&self, attempts: u32, jitter: f64) -> Duration {
+        backoff::delay(self.backoff_base, self.backoff_max, attempts, Some(jitter))
     }
 }
 
@@ -267,7 +260,7 @@ mod tests {
         };
         for attempts in 1..24 {
             for jitter in [0.5, 1.0, 1.4999999] {
-                let b = policy.backoff_for(attempts, jitter);
+                let b = policy.jittered_backoff(attempts, jitter);
                 assert!(
                     b <= policy.backoff_max,
                     "attempt {attempts} jitter {jitter}: {b:?} breaches the ceiling"
@@ -275,8 +268,11 @@ mod tests {
             }
         }
         // Below the ceiling the jitter still spreads sleeps.
-        assert_eq!(policy.backoff_for(1, 0.5), Duration::from_millis(5));
-        assert_eq!(policy.backoff_for(1, 1.25), Duration::from_micros(12_500));
+        assert_eq!(policy.jittered_backoff(1, 0.5), Duration::from_millis(5));
+        assert_eq!(
+            policy.jittered_backoff(1, 1.25),
+            Duration::from_micros(12_500)
+        );
     }
 
     #[test]

@@ -38,9 +38,9 @@
 //! [`RetryPolicy`] until the committed manifest becomes visible.
 
 use super::{storage_err, validate_key, CasOutcome, RetryPolicy, Storage};
+use crate::journal::codec::{self, internet_checksum};
 use crate::journal::{self, Frame, Journal, RecoveryReport};
 use fenrir_core::error::{Error, Result};
-use fenrir_wire::checksum::internet_checksum;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
@@ -131,114 +131,52 @@ impl Manifest {
         self.entries.iter().find(|e| e.gen == gen)
     }
 
-    /// Serialize with the trailing checksum.
+    /// Serialize as a sealed record at the current version.
     pub fn encode(&self) -> Vec<u8> {
-        let mut buf = MANIFEST_MAGIC.to_vec();
-        buf.extend_from_slice(&MANIFEST_VERSION.to_le_bytes());
-        buf.extend_from_slice(&self.fence.to_le_bytes());
-        buf.extend_from_slice(&(self.entries.len() as u32).to_le_bytes());
-        for e in &self.entries {
-            buf.extend_from_slice(&e.gen.to_le_bytes());
-            buf.extend_from_slice(&e.len.to_le_bytes());
-            buf.extend_from_slice(&e.frames.to_le_bytes());
-            buf.extend_from_slice(&e.sum.to_le_bytes());
-            buf.extend_from_slice(&(e.key.len() as u16).to_le_bytes());
-            buf.extend_from_slice(e.key.as_bytes());
-        }
-        let sum = internet_checksum(&buf);
-        buf.extend_from_slice(&sum.to_le_bytes());
-        buf
+        codec::seal(MANIFEST_MAGIC, |b| {
+            codec::put_u16(b, MANIFEST_VERSION);
+            codec::put_u64(b, self.fence);
+            codec::put_u32(b, self.entries.len() as u32);
+            for e in &self.entries {
+                codec::put_u64(b, e.gen);
+                codec::put_u64(b, e.len);
+                codec::put_u32(b, e.frames);
+                codec::put_u16(b, e.sum);
+                codec::put_str16(b, &e.key);
+            }
+        })
     }
 
     /// Decode and verify a manifest object; any structural or checksum
     /// failure is [`Error::Corrupted`] — a manifest is never partially
     /// trusted.
     pub fn decode(bytes: &[u8]) -> Result<Self> {
-        let corrupt = |offset: usize, message: String| Error::Corrupted {
-            what: "tier manifest",
-            offset,
-            message,
-        };
-        if bytes.len() < 12 {
-            return Err(corrupt(
-                bytes.len(),
-                format!("manifest truncated to {} bytes", bytes.len()),
-            ));
-        }
-        if bytes[..4] != MANIFEST_MAGIC {
-            return Err(corrupt(0, format!("bad magic {:02x?}", &bytes[..4])));
-        }
-        let version = u16::from_le_bytes(bytes[4..6].try_into().unwrap());
+        let mut d = codec::open(bytes, MANIFEST_MAGIC, "tier manifest")?;
+        let version = d.u16()?;
         if version != 1 && version != MANIFEST_VERSION {
-            return Err(corrupt(
-                4,
-                format!("unsupported version {version} (this build reads 1..={MANIFEST_VERSION})"),
-            ));
+            return Err(d.corrupt(format!(
+                "unsupported version {version} (this build reads 1..={MANIFEST_VERSION})"
+            )));
         }
-        let body_len = bytes.len() - 2;
-        let stored = u16::from_le_bytes(bytes[body_len..].try_into().unwrap());
-        let computed = internet_checksum(&bytes[..body_len]);
-        if stored != computed {
-            return Err(corrupt(
-                body_len,
-                format!(
-                    "manifest checksum mismatch (stored {stored:#06x}, computed {computed:#06x})"
-                ),
-            ));
-        }
-        // Version 1 had no fence word: count starts at byte 6.
-        let (fence, count_at) = if version == 1 {
-            (0, 6)
-        } else {
-            if body_len < 14 {
-                return Err(corrupt(6, "manifest fence truncated".into()));
-            }
-            (u64::from_le_bytes(bytes[6..14].try_into().unwrap()), 14)
-        };
-        if body_len < count_at + 4 {
-            return Err(corrupt(count_at, "manifest count truncated".into()));
-        }
-        let count = u32::from_le_bytes(bytes[count_at..count_at + 4].try_into().unwrap()) as usize;
-        let mut entries = Vec::with_capacity(count.min(1024));
-        let mut pos = count_at + 4;
+        // Version 1 had no fence word.
+        let fence = if version == 1 { 0 } else { d.u64()? };
+        let count = d.u32()? as usize;
+        let mut entries: Vec<SegmentEntry> = Vec::with_capacity(count.min(1024));
         for _ in 0..count {
-            if body_len - pos < 24 {
-                return Err(corrupt(pos, "manifest entry truncated".into()));
+            // Fields in wire order.
+            let entry = SegmentEntry {
+                gen: d.u64()?,
+                len: d.u64()?,
+                frames: d.u32()?,
+                sum: d.u16()?,
+                key: d.str16()?,
+            };
+            if entries.last().is_some_and(|p| p.gen >= entry.gen) {
+                return Err(d.corrupt(format!("generation {} out of order in manifest", entry.gen)));
             }
-            let gen = u64::from_le_bytes(bytes[pos..pos + 8].try_into().unwrap());
-            let len = u64::from_le_bytes(bytes[pos + 8..pos + 16].try_into().unwrap());
-            let frames = u32::from_le_bytes(bytes[pos + 16..pos + 20].try_into().unwrap());
-            let sum = u16::from_le_bytes(bytes[pos + 20..pos + 22].try_into().unwrap());
-            let key_len =
-                u16::from_le_bytes(bytes[pos + 22..pos + 24].try_into().unwrap()) as usize;
-            pos += 24;
-            if body_len - pos < key_len {
-                return Err(corrupt(pos, "manifest key truncated".into()));
-            }
-            let key = std::str::from_utf8(&bytes[pos..pos + key_len])
-                .map_err(|e| corrupt(pos, format!("manifest key is not UTF-8: {e}")))?
-                .to_string();
-            pos += key_len;
-            if entries.last().is_some_and(|p: &SegmentEntry| p.gen >= gen) {
-                return Err(corrupt(
-                    pos,
-                    format!("generation {gen} out of order in manifest"),
-                ));
-            }
-            entries.push(SegmentEntry {
-                gen,
-                key,
-                len,
-                frames,
-                sum,
-            });
+            entries.push(entry);
         }
-        if pos != body_len {
-            return Err(corrupt(
-                pos,
-                format!("{} trailing bytes after last entry", body_len - pos),
-            ));
-        }
+        d.finish()?;
         Ok(Manifest { fence, entries })
     }
 }
@@ -396,34 +334,35 @@ impl TieredJournal {
         let (mut hot, hot_frames, report) = Journal::open(hot_path)?;
         let (mut base_gen, mut deltas) = split_base(hot_frames)?;
         let key = manifest_key(prefix);
-        let (manifest, manifest_bytes) = retry.run("manifest fetch", || match store.get(&key)? {
-            None if base_gen == 0 => Ok((Manifest::default(), None)),
-            None => Err(storage_err(
-                "get",
-                key.clone(),
-                true,
-                format!("manifest not visible yet (hot tail expects generation {base_gen})"),
-            )),
-            Some(bytes) => {
-                let m = Manifest::decode(&bytes)?;
-                if m.latest_gen() < base_gen {
-                    // The tail was reset only after a manifest put
-                    // succeeded, so a manifest older than the tail's
-                    // promise is a stale read, not the truth.
-                    Err(storage_err(
-                        "get",
-                        key.clone(),
-                        true,
-                        format!(
-                            "stale manifest: latest generation {} behind hot tail's {base_gen}",
-                            m.latest_gen()
-                        ),
-                    ))
-                } else {
-                    Ok((m, Some(bytes)))
+        let (manifest, manifest_bytes) =
+            retry.run("manifest fetch", || match store.get(&key)? {
+                None if base_gen == 0 => Ok((Manifest::default(), None)),
+                None => Err(storage_err(
+                    "get",
+                    key.clone(),
+                    true,
+                    format!("manifest not visible yet (hot tail expects generation {base_gen})"),
+                )),
+                Some(bytes) => {
+                    let m = Manifest::decode(&bytes)?;
+                    if m.latest_gen() < base_gen {
+                        // The tail was reset only after a manifest put
+                        // succeeded, so a manifest older than the tail's
+                        // promise is a stale read, not the truth.
+                        Err(storage_err(
+                            "get",
+                            key.clone(),
+                            true,
+                            format!(
+                                "stale manifest: latest generation {} behind hot tail's {base_gen}",
+                                m.latest_gen()
+                            ),
+                        ))
+                    } else {
+                        Ok((m, Some(bytes)))
+                    }
                 }
-            }
-        })?;
+            })?;
         if manifest.latest_gen() > base_gen {
             // A seal committed its manifest but crashed before resetting
             // the tail. The deltas here were folded into that newer
@@ -819,13 +758,9 @@ mod tests {
     fn fenced_seal_refuses_a_deposed_writer() {
         let dir = scratch("fence");
         let store: Arc<dyn Storage> = Arc::new(ObjectSim::new(ObjectChaos::none(17)).unwrap());
-        let (mut old_leader, _, _) = TieredJournal::open(
-            &dir.join("old.fnrj"),
-            store.clone(),
-            "tier",
-            quick_retry(),
-        )
-        .unwrap();
+        let (mut old_leader, _, _) =
+            TieredJournal::open(&dir.join("old.fnrj"), store.clone(), "tier", quick_retry())
+                .unwrap();
         old_leader.set_fence_epoch(1).unwrap();
         assert_eq!(old_leader.fence(), Some(1));
         old_leader.seal(&[(0x22, b"epoch-1".to_vec())]).unwrap();
@@ -833,13 +768,9 @@ mod tests {
 
         // A new leader takes over from its own hot tail under a higher
         // fencing epoch.
-        let (mut new_leader, frames, _) = TieredJournal::open(
-            &dir.join("new.fnrj"),
-            store.clone(),
-            "tier",
-            quick_retry(),
-        )
-        .unwrap();
+        let (mut new_leader, frames, _) =
+            TieredJournal::open(&dir.join("new.fnrj"), store.clone(), "tier", quick_retry())
+                .unwrap();
         assert_eq!(frames[0].payload, b"epoch-1");
         new_leader.set_fence_epoch(2).unwrap();
         new_leader.seal(&[(0x22, b"epoch-2".to_vec())]).unwrap();

@@ -40,10 +40,9 @@
 //! reads.
 
 use super::{storage_err, validate_key, CasOutcome, RetryPolicy, Storage};
-use crate::journal::codec::{self, Dec};
+use crate::journal::codec;
 use fenrir_core::error::{Error, Result};
 use fenrir_core::health::CampaignHealth;
-use fenrir_wire::checksum::internet_checksum;
 use std::sync::Arc;
 
 /// First four bytes of an encoded WAL head.
@@ -80,59 +79,26 @@ pub struct ObsRecord {
 }
 
 impl ObsRecord {
-    /// Serialize under fencing epoch `fence`, with the trailing
-    /// checksum.
+    /// Serialize as a sealed record under fencing epoch `fence`.
     pub fn encode(&self, fence: u64) -> Vec<u8> {
-        let mut buf = WAL_RECORD_MAGIC.to_vec();
-        codec::put_u64(&mut buf, fence);
-        codec::put_i64(&mut buf, self.time);
-        codec::put_seq(&mut buf, &self.codes, |out, c| codec::put_u16(out, *c));
-        codec::put_health(&mut buf, &self.health);
-        let sum = internet_checksum(&buf);
-        buf.extend_from_slice(&sum.to_le_bytes());
-        buf
+        codec::seal(WAL_RECORD_MAGIC, |b| {
+            codec::put_u64(b, fence);
+            codec::put_i64(b, self.time);
+            codec::put_seq(b, &self.codes, |out, c| codec::put_u16(out, *c));
+            codec::put_health(b, &self.health);
+        })
     }
 
     /// Decode a record object, returning it with the fencing epoch it
     /// was written under.
     pub fn decode(bytes: &[u8]) -> Result<(Self, u64)> {
-        let corrupt = |offset: usize, message: String| Error::Corrupted {
-            what: "wal record",
-            offset,
-            message,
-        };
-        if bytes.len() < 6 {
-            return Err(corrupt(
-                bytes.len(),
-                format!("record truncated to {} bytes", bytes.len()),
-            ));
-        }
-        if bytes[..4] != WAL_RECORD_MAGIC {
-            return Err(corrupt(0, format!("bad magic {:02x?}", &bytes[..4])));
-        }
-        let body_len = bytes.len() - 2;
-        let stored = u16::from_le_bytes(bytes[body_len..].try_into().unwrap());
-        let computed = internet_checksum(&bytes[..body_len]);
-        if stored != computed {
-            return Err(corrupt(
-                body_len,
-                format!(
-                    "record checksum mismatch (stored {stored:#06x}, computed {computed:#06x})"
-                ),
-            ));
-        }
-        let mut d = Dec::new(&bytes[4..body_len], "wal record");
+        let mut d = codec::open(bytes, WAL_RECORD_MAGIC, "wal record")?;
         let fence = d.u64()?;
         let time = d.i64()?;
         let n = d.seq_len(2)?;
         let codes = (0..n).map(|_| d.u16()).collect::<Result<Vec<_>>>()?;
         let health = codec::read_health(&mut d)?;
-        if d.remaining() != 0 {
-            return Err(corrupt(
-                body_len - d.remaining(),
-                format!("{} trailing bytes after health record", d.remaining()),
-            ));
-        }
+        d.finish()?;
         Ok((
             ObsRecord {
                 time,
@@ -162,51 +128,26 @@ pub struct WalHead {
 }
 
 impl WalHead {
-    /// Serialize with the trailing checksum.
+    /// Serialize as a sealed record.
     pub fn encode(&self) -> Vec<u8> {
-        let mut buf = WAL_HEAD_MAGIC.to_vec();
-        buf.extend_from_slice(&self.fence.to_le_bytes());
-        buf.extend_from_slice(&self.len.to_le_bytes());
-        buf.extend_from_slice(&self.floor.to_le_bytes());
-        let sum = internet_checksum(&buf);
-        buf.extend_from_slice(&sum.to_le_bytes());
-        buf
+        codec::seal(WAL_HEAD_MAGIC, |b| {
+            codec::put_u64(b, self.fence);
+            codec::put_u64(b, self.len);
+            codec::put_u64(b, self.floor);
+        })
     }
 
     /// Decode and verify a head object.
     pub fn decode(bytes: &[u8]) -> Result<Self> {
-        let corrupt = |offset: usize, message: String| Error::Corrupted {
-            what: "wal head",
-            offset,
-            message,
-        };
-        if bytes.len() != 30 {
-            return Err(corrupt(
-                bytes.len(),
-                format!("head is {} bytes, expected 30", bytes.len()),
-            ));
-        }
-        if bytes[..4] != WAL_HEAD_MAGIC {
-            return Err(corrupt(0, format!("bad magic {:02x?}", &bytes[..4])));
-        }
-        let stored = u16::from_le_bytes(bytes[28..].try_into().unwrap());
-        let computed = internet_checksum(&bytes[..28]);
-        if stored != computed {
-            return Err(corrupt(
-                28,
-                format!("head checksum mismatch (stored {stored:#06x}, computed {computed:#06x})"),
-            ));
-        }
+        let mut d = codec::open(bytes, WAL_HEAD_MAGIC, "wal head")?;
         let head = WalHead {
-            fence: u64::from_le_bytes(bytes[4..12].try_into().unwrap()),
-            len: u64::from_le_bytes(bytes[12..20].try_into().unwrap()),
-            floor: u64::from_le_bytes(bytes[20..28].try_into().unwrap()),
+            fence: d.u64()?,
+            len: d.u64()?,
+            floor: d.u64()?,
         };
+        d.finish()?;
         if head.floor > head.len {
-            return Err(corrupt(
-                20,
-                format!("floor {} above len {}", head.floor, head.len),
-            ));
+            return Err(d.corrupt(format!("floor {} above len {}", head.floor, head.len)));
         }
         Ok(head)
     }
@@ -355,8 +296,11 @@ impl FencedWal {
         };
         let next_bytes = next.encode();
         let outcome = self.retry.run("wal head advance", || {
-            self.store
-                .put_if(&head_key(&self.prefix), self.head_bytes.as_deref(), &next_bytes)
+            self.store.put_if(
+                &head_key(&self.prefix),
+                self.head_bytes.as_deref(),
+                &next_bytes,
+            )
         })?;
         match outcome {
             CasOutcome::Committed => {
@@ -401,15 +345,17 @@ impl FencedWal {
         let mut out = Vec::new();
         for seq in from..self.head.len {
             let key = record_key(&self.prefix, seq);
-            let bytes = self.retry.run("wal replay", || match self.store.get(&key)? {
-                Some(b) => Ok(b),
-                None => Err(storage_err(
-                    "get",
-                    key.clone(),
-                    true,
-                    "head-referenced wal record not visible yet",
-                )),
-            })?;
+            let bytes = self
+                .retry
+                .run("wal replay", || match self.store.get(&key)? {
+                    Some(b) => Ok(b),
+                    None => Err(storage_err(
+                        "get",
+                        key.clone(),
+                        true,
+                        "head-referenced wal record not visible yet",
+                    )),
+                })?;
             let (rec, _) = ObsRecord::decode(&bytes)?;
             out.push(rec);
         }
@@ -432,8 +378,11 @@ impl FencedWal {
         };
         let next_bytes = next.encode();
         let outcome = self.retry.run("wal truncate", || {
-            self.store
-                .put_if(&head_key(&self.prefix), self.head_bytes.as_deref(), &next_bytes)
+            self.store.put_if(
+                &head_key(&self.prefix),
+                self.head_bytes.as_deref(),
+                &next_bytes,
+            )
         })?;
         match outcome {
             CasOutcome::Committed => {
@@ -567,7 +516,14 @@ mod tests {
         // managed to write must not count as acked.
         let err = old.append(&rec(1, [9, 9, 9])).unwrap_err();
         assert!(
-            matches!(err, Error::Fenced { held: 1, current: 2, .. }),
+            matches!(
+                err,
+                Error::Fenced {
+                    held: 1,
+                    current: 2,
+                    ..
+                }
+            ),
             "expected a fencing refusal, got {err}"
         );
         assert_eq!(new.len(), 1);

@@ -1,6 +1,6 @@
 //! Hostile-payload properties for the replication wire records — the
-//! lease, the WAL head, and the WAL observation record — plus the CAS
-//! boundaries that consume them. For small but realistic objects,
+//! lease, the WAL head, the WAL observation record, and the tier
+//! manifest — plus the CAS boundaries that consume them. For small but realistic objects,
 //! every possible truncation point and every possible single-bit flip
 //! is tried, not a random sample. The contract: damage surfaces as a
 //! typed [`Error::Corrupted`], never a panic and never a silently
@@ -16,8 +16,8 @@ use fenrir_core::time::Timestamp;
 use fenrir_data::storage::lease::LEASE_MAGIC;
 use fenrir_data::storage::wal::{record_key, WalHead};
 use fenrir_data::storage::{
-    CasOutcome, FencedWal, Lease, LeaseRecord, ObjectChaos, ObjectSim, ObsRecord, RetryPolicy,
-    Storage,
+    CasOutcome, FencedWal, Lease, LeaseRecord, Manifest, ObjectChaos, ObjectSim, ObsRecord,
+    RetryPolicy, SegmentEntry, Storage,
 };
 
 const PREFIX: &str = "fence/tier";
@@ -61,6 +61,23 @@ fn obs_record() -> ObsRecord {
         time: Timestamp::from_days(12).as_secs(),
         codes: vec![0, 0, 1, 1, 2, 2],
         health,
+    }
+}
+
+fn manifest() -> Manifest {
+    let entry = |gen: u64, key: &str| SegmentEntry {
+        gen,
+        key: key.into(),
+        len: 4_096 * gen,
+        sum: 0xBEEF ^ gen as u16,
+        frames: 3,
+    };
+    Manifest {
+        fence: 2,
+        entries: vec![
+            entry(1, "fence/tier/segments/seg-00000001"),
+            entry(2, "fence/tier/segments/seg-00000002.00000002"),
+        ],
     }
 }
 
@@ -139,6 +156,14 @@ fn obs_record_rejects_every_bit_flip_and_truncation() {
 }
 
 #[test]
+fn manifest_rejects_every_bit_flip_and_truncation() {
+    let bytes = manifest().encode();
+    assert_eq!(Manifest::decode(&bytes).unwrap(), manifest());
+    assert_every_bit_flip_rejected("manifest", &bytes, Manifest::decode);
+    assert_every_truncation_rejected("manifest", &bytes, Manifest::decode);
+}
+
+#[test]
 fn obs_record_rejects_trailing_garbage() {
     let mut bytes = obs_record().encode(3);
     bytes.push(0);
@@ -157,12 +182,50 @@ fn cross_kind_payloads_are_rejected_at_the_magic() {
     let lease = lease_record().encode();
     let head = wal_head().encode();
     let rec = obs_record().encode(3);
-    assert!(matches!(WalHead::decode(&lease[..30.min(lease.len())]), Err(Error::Corrupted { .. })));
-    assert!(matches!(ObsRecord::decode(&lease), Err(Error::Corrupted { .. })));
-    assert!(matches!(LeaseRecord::decode(&head), Err(Error::Corrupted { .. })));
-    assert!(matches!(ObsRecord::decode(&head), Err(Error::Corrupted { .. })));
-    assert!(matches!(LeaseRecord::decode(&rec), Err(Error::Corrupted { .. })));
-    assert!(matches!(WalHead::decode(&rec[..30]), Err(Error::Corrupted { .. })));
+    assert!(matches!(
+        WalHead::decode(&lease[..30.min(lease.len())]),
+        Err(Error::Corrupted { .. })
+    ));
+    assert!(matches!(
+        ObsRecord::decode(&lease),
+        Err(Error::Corrupted { .. })
+    ));
+    assert!(matches!(
+        LeaseRecord::decode(&head),
+        Err(Error::Corrupted { .. })
+    ));
+    assert!(matches!(
+        ObsRecord::decode(&head),
+        Err(Error::Corrupted { .. })
+    ));
+    assert!(matches!(
+        LeaseRecord::decode(&rec),
+        Err(Error::Corrupted { .. })
+    ));
+    assert!(matches!(
+        WalHead::decode(&rec[..30]),
+        Err(Error::Corrupted { .. })
+    ));
+    // The tier manifest, both ways, refused at byte zero.
+    let manifest = manifest().encode();
+    for other in [&lease, &head, &rec] {
+        assert!(matches!(
+            Manifest::decode(other),
+            Err(Error::Corrupted { offset: 0, .. })
+        ));
+    }
+    assert!(matches!(
+        LeaseRecord::decode(&manifest),
+        Err(Error::Corrupted { offset: 0, .. })
+    ));
+    assert!(matches!(
+        WalHead::decode(&manifest),
+        Err(Error::Corrupted { offset: 0, .. })
+    ));
+    assert!(matches!(
+        ObsRecord::decode(&manifest),
+        Err(Error::Corrupted { offset: 0, .. })
+    ));
     // And a record whose magic names a future layout revision is not
     // this decoder's to interpret, however plausible its body.
     let mut future = lease_record().encode();
@@ -250,7 +313,7 @@ fn stale_wal_writer_is_fenced_on_every_path() {
     for seq in 0..2 {
         let bytes = store.get(&record_key(PREFIX, seq)).unwrap().unwrap();
         let (_, fence) = ObsRecord::decode(&bytes).unwrap();
-        assert!(fence >= 1 && fence <= 2, "seq {seq} fence {fence}");
+        assert!((1..=2).contains(&fence), "seq {seq} fence {fence}");
     }
 }
 
@@ -280,7 +343,13 @@ fn lease_epoch_increments_exactly_once_per_holder_change() {
     assert_eq!(a.acquire(1_701, 1_000).unwrap(), Some(3));
 
     // The record on the wire is the record the fence trusts.
-    let rec = LeaseRecord::decode(&store.get(&fenrir_data::storage::lease::lease_key(PREFIX)).unwrap().unwrap()).unwrap();
+    let rec = LeaseRecord::decode(
+        &store
+            .get(&fenrir_data::storage::lease::lease_key(PREFIX))
+            .unwrap()
+            .unwrap(),
+    )
+    .unwrap();
     assert_eq!(rec.epoch, 3);
     assert_eq!(rec.holder, "node-a");
 }

@@ -24,9 +24,11 @@
 
 use crate::checkpoint::{ResumeState, SweepCheckpoint};
 use crate::fault::{FaultPlan, FaultSession};
+use fenrir_core::backoff;
 use fenrir_core::error::{Error, Result};
 use fenrir_core::health::CampaignHealth;
 use fenrir_core::time::Timestamp;
+use std::time::Duration;
 
 /// Execution policy for a campaign.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -92,15 +94,6 @@ impl RunnerConfig {
             });
         }
         Ok(())
-    }
-
-    /// Backoff before retry `n` (1-based), capped.
-    fn backoff_ms(&self, retry: usize) -> u64 {
-        let shift = (retry - 1).min(63) as u32;
-        self.backoff_base_ms
-            .checked_shl(shift)
-            .unwrap_or(u64::MAX)
-            .min(self.backoff_cap_ms)
     }
 }
 
@@ -343,7 +336,13 @@ impl CampaignRunner {
                 }
             }
             if made > 0 {
-                self.sweep_clock_ms += self.cfg.backoff_ms(made);
+                let wait = backoff::delay(
+                    Duration::from_millis(self.cfg.backoff_base_ms),
+                    Duration::from_millis(self.cfg.backoff_cap_ms),
+                    u32::try_from(made).unwrap_or(u32::MAX),
+                    None,
+                );
+                self.sweep_clock_ms += wait.as_millis() as u64;
                 self.health.last_mut().expect("sweep open").retries += 1;
             }
             made += 1;
@@ -549,17 +548,49 @@ mod tests {
         assert_eq!(rows[0], vec![Some(0), Some(1), None, None]);
     }
 
-    #[test]
-    fn backoff_doubles_and_caps() {
+    /// Retries one never-answering target spends before a sweep
+    /// deadline of `deadline_ms`, with base 100 ms, cap 350 ms and free
+    /// attempts: the smallest `r` whose first `r` backoffs sum to at
+    /// least the deadline. Pinning `r` on both sides of a sum pins each
+    /// backoff exactly.
+    fn retries_before(deadline_ms: u64) -> usize {
         let cfg = RunnerConfig {
+            max_retries: 100,
             backoff_base_ms: 100,
             backoff_cap_ms: 350,
+            attempt_cost_ms: 0,
+            sweep_deadline_ms: Some(deadline_ms),
             ..RunnerConfig::default()
         };
-        assert_eq!(cfg.backoff_ms(1), 100);
-        assert_eq!(cfg.backoff_ms(2), 200);
-        assert_eq!(cfg.backoff_ms(3), 350); // capped below 400
-        assert_eq!(cfg.backoff_ms(10), 350);
+        let (_, health) = run_campaign(&cfg, None, 1, 1, 0);
+        health[0].retries
+    }
+
+    #[test]
+    fn backoff_doubles_and_caps() {
+        // Backoffs 100, 200, then 350 (capped below 400): running sums
+        // 100, 300, 650, 1000.
+        for (deadline, retries) in [(100, 1), (101, 2), (300, 2), (301, 3), (650, 3), (1000, 4)] {
+            assert_eq!(retries_before(deadline), retries, "deadline {deadline}");
+        }
+    }
+
+    /// Regression: the runner's old shift wrapped, so retries 63 and up
+    /// backed off 0 ms and a never-answering target spun through its
+    /// whole retry budget without the sweep clock moving. Retries 1–62
+    /// sum to 21,300 ms; 63 and 64 must each add the 350 ms cap.
+    #[test]
+    fn backoff_saturates_at_the_cap_past_sixty_three_retries() {
+        for (deadline, retries) in [
+            (21_300, 62),
+            (21_301, 63),
+            (21_650, 63),
+            (21_651, 64),
+            (22_000, 64),
+            (22_001, 65),
+        ] {
+            assert_eq!(retries_before(deadline), retries, "deadline {deadline}");
+        }
     }
 
     #[test]

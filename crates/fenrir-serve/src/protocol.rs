@@ -32,7 +32,6 @@ use std::time::Instant;
 use fenrir_core::error::{Error, Result};
 use fenrir_core::health::CampaignHealth;
 use fenrir_data::journal::codec::{self, Dec};
-use fenrir_wire::checksum::internet_checksum;
 
 /// Current protocol version; bumped on any incompatible layout change.
 ///
@@ -146,25 +145,15 @@ pub const ERR_UNAUTHORIZED: u8 = 5;
 /// Encode one frame: header, checksum, payload.
 pub fn encode_frame(kind: u8, payload: &[u8]) -> Vec<u8> {
     assert!(payload.len() <= MAX_PAYLOAD, "oversized frame payload");
-    let len = payload.len() as u32;
+    let mut head = [0u8; 6];
+    head[..4].copy_from_slice(&(payload.len() as u32).to_le_bytes());
+    head[4] = PROTOCOL_VERSION;
+    head[5] = kind;
     let mut out = Vec::with_capacity(FRAME_HEADER_LEN + payload.len());
-    out.extend_from_slice(&len.to_le_bytes());
-    out.push(PROTOCOL_VERSION);
-    out.push(kind);
-    let sum = frame_checksum(len, PROTOCOL_VERSION, kind, payload);
-    out.extend_from_slice(&sum.to_le_bytes());
+    out.extend_from_slice(&head);
+    codec::put_u16(&mut out, codec::frame_sum(&head, payload));
     out.extend_from_slice(payload);
     out
-}
-
-/// The checksum a well-formed frame must carry.
-fn frame_checksum(len: u32, ver: u8, kind: u8, payload: &[u8]) -> u16 {
-    let mut buf = Vec::with_capacity(6 + payload.len());
-    buf.extend_from_slice(&len.to_le_bytes());
-    buf.push(ver);
-    buf.push(kind);
-    buf.extend_from_slice(payload);
-    internet_checksum(&buf)
 }
 
 /// What one blocking read attempt on a connection produced.
@@ -254,7 +243,8 @@ fn read_frame_until(r: &mut impl Read, deadline: Option<Instant>) -> FrameEvent 
     if let Err(e) = fill_frame(r, &mut payload, deadline) {
         return e;
     }
-    if frame_checksum(len, ver, kind, &payload) != sum {
+    let head = header[..6].try_into().expect("frame header is 8 bytes");
+    if codec::frame_sum(head, &payload) != sum {
         return FrameEvent::Corrupt(corrupt(format!("checksum mismatch on kind {kind:#04x}")));
     }
     FrameEvent::Frame { kind, payload }

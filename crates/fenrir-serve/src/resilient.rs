@@ -31,6 +31,7 @@ use std::sync::mpsc::{channel, RecvTimeoutError};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
+use fenrir_core::backoff;
 use fenrir_core::error::{Error, Result};
 use fenrir_core::rng::ChaCha8Rng;
 use fenrir_core::sync::lock;
@@ -81,6 +82,14 @@ impl Default for ResilientConfig {
             hedge_after: None,
             breaker: BreakerConfig::default(),
         }
+    }
+}
+
+impl ResilientConfig {
+    /// The backoff before round `round + 1`, with `jitter` drawn from
+    /// `[0.5, 1.5)`; never above `backoff_max`.
+    fn jittered_backoff(&self, round: u32, jitter: f64) -> Duration {
+        backoff::delay(self.backoff_base, self.backoff_max, round, Some(jitter))
     }
 }
 
@@ -364,7 +373,7 @@ impl ResilientClient {
                 // Jitter in [0.5, 1.5): desynchronises a fleet of
                 // retrying clients without changing the expectation.
                 let factor = 0.5 + lock(&self.rng).gen::<f64>();
-                backoff_for(&self.cfg, round, factor)
+                self.cfg.jittered_backoff(round, factor)
             }
         };
         let remaining = overall.saturating_duration_since(Instant::now());
@@ -422,17 +431,6 @@ impl ResilientClient {
     }
 }
 
-/// The backoff before round `round + 1`, with `jitter` drawn from
-/// `[0.5, 1.5)`. The `backoff_max` ceiling is applied **after**
-/// jittering — clamping first (the old order) let real sleeps breach
-/// the documented ceiling by up to 1.5×.
-fn backoff_for(cfg: &ResilientConfig, round: u32, jitter: f64) -> Duration {
-    let exp = cfg
-        .backoff_base
-        .saturating_mul(1u32 << (round.saturating_sub(1)).min(16));
-    exp.mul_f64(jitter).min(cfg.backoff_max)
-}
-
 /// One bounded attempt against one endpoint, recording its breaker and
 /// health flags. Used from detached worker threads, so it takes owned
 /// handles.
@@ -474,7 +472,7 @@ mod tests {
         };
         for round in 1..24 {
             for jitter in [0.5, 1.0, 1.4999999] {
-                let b = backoff_for(&cfg, round, jitter);
+                let b = cfg.jittered_backoff(round, jitter);
                 assert!(
                     b <= cfg.backoff_max,
                     "round {round} jitter {jitter}: {b:?} breaches the ceiling"
@@ -482,7 +480,7 @@ mod tests {
             }
         }
         // Below the ceiling the jitter still spreads sleeps.
-        assert_eq!(backoff_for(&cfg, 1, 0.5), Duration::from_millis(5));
-        assert_eq!(backoff_for(&cfg, 1, 1.25), Duration::from_micros(12_500));
+        assert_eq!(cfg.jittered_backoff(1, 0.5), Duration::from_millis(5));
+        assert_eq!(cfg.jittered_backoff(1, 1.25), Duration::from_micros(12_500));
     }
 }

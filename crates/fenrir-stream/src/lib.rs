@@ -43,7 +43,9 @@ pub mod replicated;
 pub mod scenario;
 pub mod serve;
 
-pub use client::{FailoverSubmitClient, FailoverSubscriber, SubmitClient, SubmitResponse, Subscriber};
+pub use client::{
+    FailoverSubmitClient, FailoverSubscriber, SubmitClient, SubmitResponse, Subscriber,
+};
 pub use ingest::{state_bits, StateBits, StreamConfig, StreamIngestor};
 pub use metrics::{FailoverMetrics, StreamMetrics};
 pub use replicated::{wall_clock, Clock, ReplicatedConfig, ReplicatedIngestor};

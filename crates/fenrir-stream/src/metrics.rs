@@ -132,9 +132,7 @@ impl FailoverMetrics {
             g.load(Ordering::Relaxed) as f64
         });
         let c = self.takeovers.clone();
-        registry.counter_fn("fenrir_stream_takeovers_total", &[], move || {
-            c.get() as f64
-        });
+        registry.counter_fn("fenrir_stream_takeovers_total", &[], move || c.get() as f64);
         let c = self.step_downs.clone();
         registry.counter_fn("fenrir_stream_step_downs_total", &[], move || {
             c.get() as f64

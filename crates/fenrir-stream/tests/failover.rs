@@ -312,7 +312,11 @@ fn deposed_leader_is_fenced_on_first_write_and_steps_down() {
     let mut unique = announced.clone();
     unique.sort_unstable();
     unique.dedup();
-    assert_eq!(unique.len(), announced.len(), "double-announce: {announced:?}");
+    assert_eq!(
+        unique.len(),
+        announced.len(),
+        "double-announce: {announced:?}"
+    );
     let _ = fs::remove_dir_all(&dir);
 }
 
@@ -336,7 +340,8 @@ fn tier_partition_mid_seal_loses_no_ack() {
 
     // Every tier put now answers SlowDown: the seal must spend its
     // retry budget and fail typed, never hang or half-publish.
-    sim.set_chaos(ObjectChaos::none(seed()).throttle(1.0)).unwrap();
+    sim.set_chaos(ObjectChaos::none(seed()).throttle(1.0))
+        .unwrap();
     let e = a.compact().expect_err("seal against a throttled tier");
     assert!(
         matches!(e, Error::Exhausted { .. } | Error::Storage { .. }),

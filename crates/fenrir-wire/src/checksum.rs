@@ -9,14 +9,29 @@
 /// before computing; verification of a received packet computes the sum over
 /// the packet as-is and checks for zero (see [`verify`]).
 pub fn internet_checksum(data: &[u8]) -> u16 {
-    let mut sum: u32 = 0;
+    finish(accumulate(0, data))
+}
+
+/// Add `data`'s 16-bit big-endian words to a running sum, an odd trailing
+/// byte padded with a zero octet. Splitting the input at even offsets and
+/// accumulating the parts in order gives the sum over the whole.
+///
+/// The accumulator wraps at 2^32 in every build profile. Inputs under
+/// 128 KiB never reach the wrap; for larger ones the wrapped value is what
+/// the journal and serve formats have always stored, so it stays.
+pub fn accumulate(mut sum: u32, data: &[u8]) -> u32 {
     let mut chunks = data.chunks_exact(2);
     for c in &mut chunks {
-        sum += u32::from(u16::from_be_bytes([c[0], c[1]]));
+        sum = sum.wrapping_add(u32::from(u16::from_be_bytes([c[0], c[1]])));
     }
     if let [last] = chunks.remainder() {
-        sum += u32::from(u16::from_be_bytes([*last, 0]));
+        sum = sum.wrapping_add(u32::from(u16::from_be_bytes([*last, 0])));
     }
+    sum
+}
+
+/// Fold a running sum from [`accumulate`] to 16 bits and complement it.
+pub fn finish(mut sum: u32) -> u16 {
     while sum > 0xFFFF {
         sum = (sum & 0xFFFF) + (sum >> 16);
     }
