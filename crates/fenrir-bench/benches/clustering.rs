@@ -1,6 +1,6 @@
-//! Benchmarks of hierarchical clustering: dendrogram construction
-//! (nearest-neighbour chain, `O(|T|²)`), threshold cuts, and the paper's
-//! adaptive threshold sweep.
+//! Benchmarks of hierarchical clustering: dendrogram construction (SLINK
+//! for single linkage, the greedy engine for complete and average),
+//! threshold cuts, and the paper's adaptive threshold sweep.
 
 use fenrir_bench::timing::micro;
 use fenrir_core::cluster::{AdaptiveThreshold, Dendrogram, Linkage};

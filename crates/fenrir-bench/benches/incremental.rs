@@ -7,7 +7,10 @@
 //! 1. single-event route reconvergence — `RouteTable::recompute_after`
 //!    on one link flap vs a full `RouteTable::compute`;
 //! 2. single-observation matrix extension — `SimilarityMatrix::extend`
-//!    by one appended observation vs recomputing all pairs.
+//!    by one appended observation vs recomputing all pairs;
+//! 3. single-observation dendrogram extension — single-linkage
+//!    `Dendrogram::extend` by one recurring observation vs a batch
+//!    `Dendrogram::build`, swept over history length T = 256/1024/4096.
 //!
 //! Unlike the micro-benchmarks, this bench asserts a gate and emits
 //! `BENCH_incremental.json` at the workspace root — the perf-trajectory
@@ -15,6 +18,7 @@
 //! no serializer dependency); the schema is flat on purpose.
 
 use fenrir_bench::timing::mean_of_iters_ns;
+use fenrir_core::cluster::{Dendrogram, Linkage};
 use fenrir_core::ids::SiteId;
 use fenrir_core::ids::SiteTable;
 use fenrir_core::series::VectorSeries;
@@ -30,6 +34,12 @@ const STUBS: usize = 400;
 /// Default series shape: one year of daily sweeps over 800 networks.
 const OBSERVATIONS: usize = 365;
 const NETWORKS: usize = 800;
+/// History lengths of the dendrogram sweep; the last one is recorded.
+const DENDRO_T: [usize; 3] = [256, 1024, 4096];
+/// Networks per observation in the dendrogram sweep.
+const DENDRO_NETWORKS: usize = 64;
+/// The recurring-feed bound for one single-linkage extend at T=1024.
+const DENDRO_EXTEND_NS_AT_1024: f64 = 1e6;
 
 struct Comparison {
     name: &'static str,
@@ -94,23 +104,30 @@ fn bench_route_reconvergence() -> Comparison {
     }
 }
 
-/// A deterministic one-year series: 4 sites, `NETWORKS` networks, with a
-/// sprinkle of unknowns so Φ exercises its policy branch.
-fn series(observations: usize) -> VectorSeries {
-    let sites = SiteTable::from_names(["LAX", "MIA", "ARI", "SIN"]);
-    let mut s = VectorSeries::new(sites, NETWORKS);
-    let mut state = 0x5EED_u64;
-    let mut next = move || {
+/// A deterministic xorshift stream: the benches' inputs need no RNG crate.
+fn xorshift(mut state: u64) -> impl FnMut() -> u64 {
+    move || {
         state ^= state << 13;
         state ^= state >> 7;
         state ^= state << 17;
         state
-    };
+    }
+}
+
+fn four_sites() -> SiteTable {
+    SiteTable::from_names(["LAX", "MIA", "ARI", "SIN"])
+}
+
+/// A deterministic one-year series: 4 sites, `NETWORKS` networks, with a
+/// sprinkle of unknowns so Φ exercises its policy branch.
+fn series(observations: usize) -> VectorSeries {
+    let mut s = VectorSeries::new(four_sites(), NETWORKS);
+    let mut next = xorshift(0x5EED);
     for day in 0..observations {
         let catchments: Vec<Catchment> = (0..NETWORKS)
             .map(|_| {
                 let r = next();
-                if r % 16 == 0 {
+                if r.is_multiple_of(16) {
                     Catchment::Unknown
                 } else {
                     Catchment::Site(SiteId((r % 4) as u16))
@@ -122,6 +139,40 @@ fn series(observations: usize) -> VectorSeries {
             catchments,
         ))
         .expect("ordered timestamps");
+    }
+    s
+}
+
+/// A recurring-regime series over `DENDRO_NETWORKS` networks: five
+/// routing regimes that each return many times with a dwell of 1–4
+/// observations, half the observations with one network moved. A new row
+/// sits at Φ≈1 to old ones, the case that empties a greedy extend's stable
+/// prefix.
+fn regime_series(observations: usize) -> VectorSeries {
+    let mut next = xorshift(0xD1A6);
+    let site = |r: u64| Catchment::Site(SiteId((r % 4) as u16));
+    let regimes: Vec<Vec<Catchment>> = (0..5)
+        .map(|_| (0..DENDRO_NETWORKS).map(|_| site(next())).collect())
+        .collect();
+    let mut s = VectorSeries::new(four_sites(), DENDRO_NETWORKS);
+    while s.len() < observations {
+        let regime = &regimes[(next() % 5) as usize];
+        let dwell = 1 + next() % 4;
+        for _ in 0..dwell {
+            let mut catchments = regime.clone();
+            if next().is_multiple_of(2) {
+                catchments[(next() % DENDRO_NETWORKS as u64) as usize] = site(next());
+            }
+            let day = s.len() as i64;
+            s.push(RoutingVector::from_catchments(
+                Timestamp::from_days(day),
+                catchments,
+            ))
+            .expect("ordered timestamps");
+            if s.len() == observations {
+                break;
+            }
+        }
     }
     s
 }
@@ -147,6 +198,32 @@ fn bench_matrix_extension() -> Comparison {
     }
 }
 
+/// Time a one-observation single-linkage `extend` at history length `t`
+/// against a batch build over the same matrix.
+fn bench_dendrogram_extension(t: usize) -> Comparison {
+    let w = Weights::uniform(DENDRO_NETWORKS);
+    let policy = UnknownPolicy::Pessimistic;
+    let threads = std::thread::available_parallelism().map_or(1, usize::from);
+    let full = SimilarityMatrix::compute_parallel(&regime_series(t), &w, policy, threads)
+        .expect("full matrix");
+    let prefix = SimilarityMatrix::from_condensed(t - 1, full.raw()[..t * (t - 1) / 2].to_vec())
+        .expect("prefix matrix");
+    let base = Dendrogram::build(&prefix, Linkage::Single).expect("prefix tree");
+
+    let iters = (4096 / t).clamp(4, 16) as u32;
+    let batch_ns = mean_of_iters_ns(iters, || Dendrogram::build(&full, Linkage::Single));
+    let incremental_ns = mean_of_iters_ns(iters * 16, || {
+        let mut d = base.clone();
+        d.extend(&full).expect("extend by one");
+        d
+    });
+    Comparison {
+        name: "dendrogram_extension",
+        batch_ns,
+        incremental_ns,
+    }
+}
+
 /// Hand-formatted JSON; the workspace has no serializer dependency.
 fn render_json(comparisons: &[Comparison]) -> String {
     let mut out = String::from("{\n");
@@ -154,6 +231,11 @@ fn render_json(comparisons: &[Comparison]) -> String {
     out.push_str(&format!("  \"topology_stubs\": {STUBS},\n"));
     out.push_str(&format!("  \"series_observations\": {OBSERVATIONS},\n"));
     out.push_str(&format!("  \"series_networks\": {NETWORKS},\n"));
+    out.push_str(&format!(
+        "  \"dendrogram_observations\": {},\n",
+        DENDRO_T[DENDRO_T.len() - 1]
+    ));
+    out.push_str(&format!("  \"dendrogram_networks\": {DENDRO_NETWORKS},\n"));
     out.push_str("  \"groups\": {\n");
     for (i, c) in comparisons.iter().enumerate() {
         out.push_str(&format!(
@@ -171,7 +253,30 @@ fn render_json(comparisons: &[Comparison]) -> String {
 
 fn main() {
     // `cargo bench`/`cargo test --benches` pass harness flags; none apply.
-    let comparisons = [bench_route_reconvergence(), bench_matrix_extension()];
+    let mut sweep: Vec<(usize, Comparison)> = DENDRO_T
+        .iter()
+        .map(|&t| (t, bench_dendrogram_extension(t)))
+        .collect();
+    for (t, c) in &sweep {
+        println!(
+            "{:<24} T={t:<5} batch {:>12.0} ns   incremental {:>9.0} ns   speedup {:>8.2}x",
+            c.name,
+            c.batch_ns,
+            c.incremental_ns,
+            c.speedup()
+        );
+    }
+    let extend_ns_at_1024 = sweep
+        .iter()
+        .find(|(t, _)| *t == 1024)
+        .map(|(_, c)| c.incremental_ns)
+        .expect("T=1024 is swept");
+    let (_, recorded) = sweep.pop().expect("a swept T");
+    let comparisons = [
+        bench_route_reconvergence(),
+        bench_matrix_extension(),
+        recorded,
+    ];
     for c in &comparisons {
         println!(
             "{:<24} batch {:>12.0} ns   incremental {:>12.0} ns   speedup {:>8.2}x",
@@ -185,6 +290,11 @@ fn main() {
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_incremental.json");
     std::fs::write(path, &json).expect("write BENCH_incremental.json");
     println!("wrote {path}");
+    // A recurring-feed single-linkage fold at T=1024 stays under 1 ms.
+    assert!(
+        extend_ns_at_1024 < DENDRO_EXTEND_NS_AT_1024,
+        "dendrogram extend at T=1024 takes {extend_ns_at_1024:.0} ns, over the 1 ms bar"
+    );
     // The acceptance bar for the incremental paths: each must beat its
     // from-scratch counterpart by at least 5x on the default sizes.
     for c in &comparisons {

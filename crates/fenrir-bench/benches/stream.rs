@@ -46,8 +46,8 @@ const LATENCY_WARMUP: usize = 4;
 /// `fsync` before its ack, but the fold's analysis dominates its cost:
 /// traced in the repository benchmark's `ingest-recurring` workload,
 /// Φ extend plus the divergence guard take
-/// 57–62 % of a fold, HAC extend 36–41 %, and threshold choice, journal
-/// append and compaction together about 2 %. The floor asserts
+/// 92–95 % of a fold, journal append 3–6 %, and threshold choice, HAC
+/// extend and compaction together about 2 %. The floor asserts
 /// liveness, not hardware.
 const SUBMIT_PER_SEC_FLOOR: f64 = 5.0;
 /// Push-path p99 from submit to event receipt, generous for CI noise.

@@ -1,9 +1,12 @@
 //! Hierarchical Agglomerative Clustering (§2.6.2 of the paper).
 //!
 //! Fenrir discovers routing "modes" by clustering routing vectors on their
-//! Gower distance `1 − Φ`. The paper cites SLINK (single linkage); this
-//! module implements the nearest-neighbour-chain algorithm, which yields
-//! exact single, complete, and average linkage in `O(|T|²)` time — |T| is
+//! Gower distance `1 − Φ`. The paper cites SLINK (Sibson 1973), and single
+//! linkage — the default — is SLINK over the pointer representation: a
+//! batch build reads the condensed matrix in place in `O(|T|²)` time and
+//! `O(|T|)` memory, and each appended observation is inserted in `O(|T|)`.
+//! Complete and average linkage run a greedy global-minimum engine with
+//! cached nearest neighbours over a dense copy of the matrix. |T| is
 //! observation times, a few thousand even for five years of daily data.
 //!
 //! The paper's **adaptive distance threshold** rule is implemented by
@@ -54,10 +57,241 @@ pub struct Dendrogram {
     n: usize,
     linkage: Linkage,
     merges: Vec<Merge>,
+    /// The tree as SLINK keeps it; empty unless the linkage is single.
+    pointer: Pointer,
+}
+
+/// `a` or `b`, whichever is smaller under `f64::total_cmp`.
+fn total_min(a: f64, b: f64) -> f64 {
+    if b.total_cmp(&a).is_lt() {
+        b
+    } else {
+        a
+    }
+}
+
+/// SLINK's pointer representation (Sibson 1973) of a single-linkage tree.
+///
+/// Leaf `i` is the largest leaf of its cluster up to height `lambda[i]`,
+/// where it joins the cluster whose largest leaf is `pi[i] > i`. The last
+/// leaf never joins a larger one: it has `pi[i] == i`, and its height reads
+/// as above every distance, NaN included. Heights compare under
+/// `f64::total_cmp`, like the greedy engine's merge keys. The
+/// representation is a function of the single-linkage ultrametric alone,
+/// so ties cannot make two derivations of it disagree.
+#[derive(Debug, Clone, Default)]
+struct Pointer {
+    pi: Vec<usize>,
+    lambda: Vec<f64>,
+}
+
+impl Pointer {
+    /// Whether leaf `i` is still the largest of its cluster at height `d`.
+    fn reaches(&self, i: usize, d: f64) -> bool {
+        self.pi[i] == i || self.lambda[i].total_cmp(&d).is_ge()
+    }
+
+    /// One SLINK step in `O(n)`: append leaf `n = self.pi.len()` from its
+    /// condensed row `Φ(n, 0..=n)`. `m` is scratch space.
+    fn push(&mut self, row: &[f64], m: &mut Vec<f64>) {
+        let n = self.pi.len();
+        m.clear();
+        // Bit-identical to `SimilarityMatrix::distance`.
+        m.extend(row[..n].iter().map(|phi| 1.0 - phi));
+        for i in 0..n {
+            let p = self.pi[i];
+            if self.reaches(i, m[i]) {
+                if p != i {
+                    m[p] = total_min(m[p], self.lambda[i]);
+                }
+                self.lambda[i] = m[i];
+                self.pi[i] = n;
+            } else {
+                m[p] = total_min(m[p], m[i]);
+            }
+        }
+        for i in 0..n {
+            let p = self.pi[i];
+            if p < n && self.lambda[i].total_cmp(&self.lambda[p]).is_ge() {
+                self.pi[i] = n;
+            }
+        }
+        self.pi.push(n);
+        self.lambda.push(f64::INFINITY);
+    }
+
+    /// SLINK over the whole matrix, reading each condensed row in place.
+    fn build(sim: &SimilarityMatrix) -> Pointer {
+        let mut p = Pointer::default();
+        let mut m = Vec::with_capacity(sim.len());
+        for i in 0..sim.len() {
+            p.push(sim.condensed_row(i), &mut m);
+        }
+        p
+    }
+
+    /// The pointer representation of the tree `merges` describes over `n`
+    /// leaves (ids validated as in [`Dendrogram::from_parts`]). A merge at
+    /// height `h` ends the run of the smaller of its two clusters' largest
+    /// leaves; that leaf points at the largest leaf of its cluster once
+    /// every merge at `h` is applied, so the order of merges inside a tie
+    /// does not matter.
+    fn from_merges(n: usize, merges: &[Merge]) -> Pointer {
+        let mut p = Pointer {
+            pi: (0..n).collect(),
+            lambda: vec![f64::INFINITY; n],
+        };
+        let mut forest = Forest::new(n);
+        let mut rep: Vec<usize> = (0..n).collect();
+        let mut ended = Vec::new();
+        for tie in ties(merges, |m| m.distance) {
+            ended.clear();
+            for m in tie {
+                let (ra, rb) = (forest.find(rep[m.a]), forest.find(rep[m.b]));
+                rep.push(ra);
+                if ra != rb {
+                    let leaf = forest.hi[ra].min(forest.hi[rb]);
+                    p.lambda[leaf] = m.distance;
+                    ended.push(leaf);
+                    forest.join(ra, rb, m.distance, 0);
+                }
+            }
+            for &leaf in &ended {
+                let root = forest.find(leaf);
+                p.pi[leaf] = forest.hi[root];
+            }
+        }
+        p
+    }
+
+    /// The tree's merges: `prefix` verbatim (already in this tree's ids),
+    /// then every join it leaves out, in canonical order.
+    ///
+    /// The canonical order is defined on leaves. A leaf that stops being
+    /// the *smallest* leaf of its cluster at height `h` contributes one
+    /// merge at `h`: its cluster joins the one holding the smallest leaf of
+    /// the union formed at `h`. Merges go in `(h under total_cmp, leaf)`
+    /// order, and union-find numbers the new clusters the scipy way.
+    fn merges(&self, prefix: &[Merge]) -> Vec<Merge> {
+        let n = self.pi.len();
+        let mut order: Vec<usize> = (0..n).filter(|&i| self.pi[i] != i).collect();
+        order.sort_unstable_by(|&x, &y| self.lambda[x].total_cmp(&self.lambda[y]).then(x.cmp(&y)));
+        // Re-key each join from the largest leaf whose run ends to the
+        // smallest: `(height, leaf, smallest leaf of the union)`.
+        let mut joins: Vec<(f64, usize, usize)> = Vec::with_capacity(order.len());
+        let mut forest = Forest::new(n);
+        for tie in ties(&order, |&i| self.lambda[i]) {
+            let start = joins.len();
+            for &i in tie {
+                let (ra, rb) = (forest.find(i), forest.find(self.pi[i]));
+                if ra != rb {
+                    let h = self.lambda[i];
+                    joins.push((h, forest.lo[ra].max(forest.lo[rb]), 0));
+                    forest.join(ra, rb, h, 0);
+                }
+            }
+            for join in &mut joins[start..] {
+                let root = forest.find(join.1);
+                join.2 = forest.lo[root];
+            }
+            joins[start..].sort_unstable_by_key(|join| join.1);
+        }
+        let mut out = Vec::with_capacity(n.saturating_sub(1));
+        let mut forest = Forest::new(n);
+        let mut rep: Vec<usize> = (0..n).collect();
+        for m in prefix {
+            let (ra, rb) = (forest.find(rep[m.a]), forest.find(rep[m.b]));
+            rep.push(ra);
+            if ra == rb {
+                // Only a corrupt prefix rejoins a cluster; an audit
+                // catches the tree that results.
+                forest.id[ra] = n + out.len();
+            } else {
+                forest.join(ra, rb, m.distance, n + out.len());
+            }
+            out.push(*m);
+        }
+        for (h, leaf, smallest) in joins {
+            let (ra, rb) = (forest.find(leaf), forest.find(smallest));
+            if ra != rb {
+                let merge = forest.join(ra, rb, h, n + out.len());
+                out.push(merge);
+            }
+        }
+        out
+    }
+}
+
+/// Maximal runs of `items` whose keys are bit-equal (one tie each).
+fn ties<T>(items: &[T], key: impl Fn(&T) -> f64) -> impl Iterator<Item = &[T]> {
+    let mut rest = items;
+    std::iter::from_fn(move || {
+        let first = key(rest.first()?).to_bits();
+        let len = rest
+            .iter()
+            .take_while(|x| key(x).to_bits() == first)
+            .count();
+        let (tie, tail) = rest.split_at(len);
+        rest = tail;
+        Some(tie)
+    })
+}
+
+/// Union-find over leaves. Each root knows its cluster's smallest and
+/// largest leaf, its size, and its dendrogram id.
+struct Forest {
+    parent: Vec<usize>,
+    lo: Vec<usize>,
+    hi: Vec<usize>,
+    size: Vec<usize>,
+    id: Vec<usize>,
+}
+
+impl Forest {
+    fn new(n: usize) -> Forest {
+        Forest {
+            parent: (0..n).collect(),
+            lo: (0..n).collect(),
+            hi: (0..n).collect(),
+            size: vec![1; n],
+            id: (0..n).collect(),
+        }
+    }
+
+    fn find(&mut self, mut x: usize) -> usize {
+        while self.parent[x] != x {
+            self.parent[x] = self.parent[self.parent[x]]; // path halving
+            x = self.parent[x];
+        }
+        x
+    }
+
+    /// Join the clusters rooted at `a != b` into cluster `id`, returning
+    /// the merge step at `distance`.
+    fn join(&mut self, a: usize, b: usize, distance: f64, id: usize) -> Merge {
+        let merge = Merge {
+            a: self.id[a].min(self.id[b]),
+            b: self.id[a].max(self.id[b]),
+            distance,
+            size: self.size[a] + self.size[b],
+        };
+        let (root, child) = if self.size[a] >= self.size[b] {
+            (a, b)
+        } else {
+            (b, a)
+        };
+        self.parent[child] = root;
+        self.lo[root] = self.lo[a].min(self.lo[b]);
+        self.hi[root] = self.hi[a].max(self.hi[b]);
+        self.size[root] = merge.size;
+        self.id[root] = id;
+        merge
+    }
 }
 
 /// Working state of the greedy global-minimum agglomeration shared by
-/// [`Dendrogram::build`] and [`Dendrogram::extend`].
+/// [`Dendrogram::build_greedy`] and [`Dendrogram::extend`] (complete and
+/// average linkage).
 ///
 /// Each *slot* is one leaf index; a merged cluster lives on in the slot of
 /// its smaller member and the other slot retires. Every candidate pair is
@@ -216,13 +450,38 @@ impl Engine {
 impl Dendrogram {
     /// Run HAC over the Gower distances of `sim` with the given linkage.
     ///
-    /// The merge sequence is canonical: at every step the pair with the
-    /// smallest `(distance, min id, max id)` key merges, so the output is a
-    /// pure function of the matrix and two builds (or a build and an
-    /// incremental [`Dendrogram::extend`]) agree exactly.
+    /// The merge sequence is a pure function of the matrix, so two builds
+    /// (or a build and an incremental [`Dendrogram::extend`]) agree
+    /// exactly. Single linkage runs SLINK and emits its merges in the
+    /// canonical leaf order described on [`Dendrogram::extend`]; the other
+    /// linkages merge, at every step, the pair with the smallest
+    /// `(distance, min id, max id)` key.
     ///
     /// Errors if the matrix is empty.
     pub fn build(sim: &SimilarityMatrix, linkage: Linkage) -> Result<Self> {
+        if sim.is_empty() {
+            return Err(Error::EmptyInput("similarity matrix"));
+        }
+        if linkage != Linkage::Single {
+            return Self::build_greedy(sim, linkage);
+        }
+        let pointer = Pointer::build(sim);
+        Ok(Dendrogram {
+            n: sim.len(),
+            linkage,
+            merges: pointer.merges(&[]),
+            pointer,
+        })
+    }
+
+    /// Greedy global-minimum HAC: the engine [`Dendrogram::build`] runs for
+    /// complete and average linkage. For single linkage it is the
+    /// reference SLINK is tested against. It gives the same partition at
+    /// every height and the same merge distances, but orders merges inside
+    /// a tie by cluster id rather than by leaf.
+    ///
+    /// Errors if the matrix is empty.
+    pub fn build_greedy(sim: &SimilarityMatrix, linkage: Linkage) -> Result<Self> {
         let n = sim.len();
         if n == 0 {
             return Err(Error::EmptyInput("similarity matrix"));
@@ -237,7 +496,21 @@ impl Dendrogram {
                 .all(|w| w[0].distance.total_cmp(&w[1].distance).is_le()),
             "greedy merges must come out in ascending distance order"
         );
-        Ok(Dendrogram { n, linkage, merges })
+        Ok(Self::assemble(n, linkage, merges))
+    }
+
+    /// A tree from checked parts, with SLINK's view of it when single.
+    fn assemble(n: usize, linkage: Linkage, merges: Vec<Merge>) -> Self {
+        let pointer = match linkage {
+            Linkage::Single => Pointer::from_merges(n, &merges),
+            _ => Pointer::default(),
+        };
+        Dendrogram {
+            n,
+            linkage,
+            merges,
+            pointer,
+        }
     }
 
     /// Grow the tree over observations newly appended to `sim` — the
@@ -246,11 +519,18 @@ impl Dendrogram {
     /// Let `cutoff` be the smallest distance involving any new observation.
     /// No cluster containing a new observation can take part in a merge
     /// below `cutoff`, so the existing merges strictly below it are exactly
-    /// the prefix a batch build over the grown matrix would produce. Those
-    /// are replayed (Lance-Williams updates only — no neighbour search),
-    /// and greedy agglomeration resumes from the reconstructed state. The
-    /// result is identical to `Dendrogram::build(sim, linkage)` — bit for
-    /// bit, including tie resolution — which the property tests assert.
+    /// the prefix a batch build over the grown matrix would produce. They
+    /// are kept verbatim. The result is identical to
+    /// `Dendrogram::build(sim, linkage)` — bit for bit, including tie
+    /// resolution — which the property tests assert.
+    ///
+    /// Single linkage inserts each new observation into SLINK's pointer
+    /// representation in `O(|T|)` and re-emits the merges above the
+    /// prefix. Their canonical order is defined on leaves: the leaf that
+    /// stops being the smallest of its cluster at height `h` contributes
+    /// the merge that joins its cluster at `h`, and merges go in `(h under
+    /// total_cmp, leaf)` order. Other linkages replay the prefix
+    /// (Lance-Williams updates only) and resume greedy agglomeration.
     ///
     /// The first `self.len()` observations of `sim` must be the ones this
     /// tree was built from. Errors if the matrix shrank.
@@ -267,15 +547,11 @@ impl Dendrogram {
         if new_n == old_n {
             return Ok(());
         }
+        // Every pair with a new observation lies in a new condensed row.
         let mut cutoff = f64::INFINITY;
         for j in old_n..new_n {
-            for i in 0..new_n {
-                if i != j {
-                    let dij = sim.distance(i, j);
-                    if dij.total_cmp(&cutoff).is_lt() {
-                        cutoff = dij;
-                    }
-                }
+            for &phi in &sim.condensed_row(j)[..j] {
+                cutoff = total_min(cutoff, 1.0 - phi);
             }
         }
         // Stable prefix: merges strictly below the cutoff. Internal ids are
@@ -288,6 +564,24 @@ impl Dendrogram {
             .take_while(|m| m.distance.total_cmp(&cutoff).is_lt())
             .count();
         let remap = |id: usize| if id < old_n { id } else { new_n + (id - old_n) };
+
+        if self.linkage == Linkage::Single {
+            let mut m = Vec::with_capacity(new_n);
+            for j in old_n..new_n {
+                self.pointer.push(sim.condensed_row(j), &mut m);
+            }
+            let prefix: Vec<Merge> = self.merges[..keep]
+                .iter()
+                .map(|m| Merge {
+                    a: remap(m.a),
+                    b: remap(m.b),
+                    ..*m
+                })
+                .collect();
+            self.merges = self.pointer.merges(&prefix);
+            self.n = new_n;
+            return Ok(());
+        }
 
         let mut engine = Engine::from_leaves(sim, self.linkage);
         let mut merges: Vec<Merge> = Vec::with_capacity(new_n - 1);
@@ -312,62 +606,73 @@ impl Dendrogram {
 
     /// Like [`Dendrogram::extend`], but wrapped in a runtime
     /// [`DivergenceGuard`]: sampled extends are cross-checked bit-for-bit
-    /// against a batch [`Dendrogram::build`] over the same matrix. On
-    /// mismatch the guard records a typed
-    /// [`Error::IncrementalDivergence`](crate::error::Error), the batch
-    /// tree replaces the diverged one, and the guard's quarantine steers
-    /// every later call straight to the batch path — the campaign
-    /// continues with correct results instead of aborting.
+    /// against a batch [`Dendrogram::build`] over the same matrix (see
+    /// [`Dendrogram::audit`]), and a quarantined guard steers every call
+    /// straight to the batch path — the campaign continues with correct
+    /// results instead of aborting.
+    ///
+    /// Returns whether the tree now in place was checked against, or
+    /// rebuilt from, the batch build.
     pub fn extend_guarded(
         &mut self,
         sim: &SimilarityMatrix,
         guard: &mut DivergenceGuard,
-    ) -> Result<()> {
+    ) -> Result<bool> {
         if guard.quarantined() {
             *self = Dendrogram::build(sim, self.linkage)?;
-            return Ok(());
+            return Ok(true);
         }
         let old_n = self.n;
         self.extend(sim)?;
-        if guard.should_check(self.n > old_n) {
-            let batch = Dendrogram::build(sim, self.linkage)?;
-            let same = |x: &Merge, y: &Merge| {
-                x.a == y.a
-                    && x.b == y.b
-                    && x.size == y.size
-                    && x.distance.to_bits() == y.distance.to_bits()
-            };
-            let mismatch = self.n != batch.n
-                || self.merges.len() != batch.merges.len()
-                || self
-                    .merges
-                    .iter()
-                    .zip(&batch.merges)
-                    .any(|(a, b)| !same(a, b));
-            if mismatch {
-                let step = self
-                    .merges
-                    .iter()
-                    .zip(&batch.merges)
-                    .position(|(a, b)| !same(a, b));
-                guard.record(
-                    "dendrogram",
-                    match step {
-                        Some(k) => format!(
-                            "merge {k} is {:?}, batch built {:?}",
-                            self.merges[k], batch.merges[k]
-                        ),
-                        None => format!(
-                            "{} leaves / {} merges vs batch {} / {}",
-                            self.n,
-                            self.merges.len(),
-                            batch.n,
-                            batch.merges.len()
-                        ),
-                    },
-                );
-                *self = batch;
-            }
+        let check = guard.should_check(self.n > old_n);
+        if check {
+            self.audit(sim, guard)?;
+        }
+        Ok(check)
+    }
+
+    /// Cross-check this tree bit-for-bit against a batch
+    /// [`Dendrogram::build`] over `sim`. On mismatch the guard records a
+    /// typed [`Error::IncrementalDivergence`](crate::error::Error), the
+    /// batch tree replaces the diverged one, and the guard quarantines.
+    pub fn audit(&mut self, sim: &SimilarityMatrix, guard: &mut DivergenceGuard) -> Result<()> {
+        let batch = Dendrogram::build(sim, self.linkage)?;
+        let same = |x: &Merge, y: &Merge| {
+            x.a == y.a
+                && x.b == y.b
+                && x.size == y.size
+                && x.distance.to_bits() == y.distance.to_bits()
+        };
+        let mismatch = self.n != batch.n
+            || self.merges.len() != batch.merges.len()
+            || self
+                .merges
+                .iter()
+                .zip(&batch.merges)
+                .any(|(a, b)| !same(a, b));
+        if mismatch {
+            let step = self
+                .merges
+                .iter()
+                .zip(&batch.merges)
+                .position(|(a, b)| !same(a, b));
+            guard.record(
+                "dendrogram",
+                match step {
+                    Some(k) => format!(
+                        "merge {k} is {:?}, batch built {:?}",
+                        self.merges[k], batch.merges[k]
+                    ),
+                    None => format!(
+                        "{} leaves / {} merges vs batch {} / {}",
+                        self.n,
+                        self.merges.len(),
+                        batch.n,
+                        batch.merges.len()
+                    ),
+                },
+            );
+            *self = batch;
         }
         Ok(())
     }
@@ -376,7 +681,8 @@ impl Dendrogram {
     /// path, reusing a persisted merge prefix instead of re-clustering.
     /// Validates the merge count (`n − 1` for a complete tree), ascending
     /// distance order, and the scipy id convention (merge `k` references
-    /// only clusters `< n + k` and creates cluster `n + k`).
+    /// only clusters `< n + k` and creates cluster `n + k`). The merges are
+    /// kept as given; see [`Dendrogram::normalized`].
     pub fn from_parts(n: usize, linkage: Linkage, merges: Vec<Merge>) -> Result<Self> {
         if n == 0 {
             return Err(Error::EmptyInput("dendrogram leaves"));
@@ -405,7 +711,21 @@ impl Dendrogram {
                 message: "merge distances are not ascending".into(),
             });
         }
-        Ok(Dendrogram { n, linkage, merges })
+        Ok(Self::assemble(n, linkage, merges))
+    }
+
+    /// This tree with a single-linkage merge list re-derived from its own
+    /// pointer representation, so merges inside a tie come out in the
+    /// canonical order [`Dendrogram::build`] emits. `O(|T| log |T|)`, with
+    /// no pass over the matrix. Single-linkage trees recorded by the
+    /// greedy engine order ties by cluster id; normalising them on restore
+    /// lets them extend without a divergence. Other linkages are returned
+    /// unchanged.
+    pub fn normalized(mut self) -> Self {
+        if self.linkage == Linkage::Single {
+            self.merges = self.pointer.merges(&[]);
+        }
+        self
     }
 
     /// The linkage this tree was built with.
@@ -1021,5 +1341,98 @@ mod tests {
         grown.extend(&full).unwrap();
         let batch = Dendrogram::build(&full, Linkage::Average).unwrap();
         assert_eq!(grown.merges(), batch.merges());
+    }
+
+    /// Merges as comparable bits (a NaN distance never equals itself).
+    fn merge_bits(d: &Dendrogram) -> Vec<(usize, usize, u64, usize)> {
+        d.merges()
+            .iter()
+            .map(|m| (m.a, m.b, m.distance.to_bits(), m.size))
+            .collect()
+    }
+
+    /// The leading `k × k` block of `sim`.
+    fn leading(sim: &SimilarityMatrix, k: usize) -> SimilarityMatrix {
+        let v = (0..k * k).map(|c| sim.get(c / k, c % k)).collect();
+        SimilarityMatrix::from_raw(k, v).unwrap()
+    }
+
+    #[test]
+    fn slink_matches_the_greedy_oracle_on_tie_heavy_matrices() {
+        crate::rng::for_each_case("slink_matches_the_greedy_oracle", 96, |rng| {
+            // Distances from a grid of at most 8 exact values, some NaN.
+            let n = rng.gen_range(1usize..=64);
+            let levels = rng.gen_range(1usize..=8);
+            let nan = rng.gen_range(0.0..0.1);
+            let mut v = vec![1.0; n * n];
+            for i in 0..n {
+                for j in 0..i {
+                    let phi = if rng.gen_bool(nan) {
+                        f64::NAN
+                    } else {
+                        1.0 - rng.gen_range(0..levels) as f64 / 8.0
+                    };
+                    v[i * n + j] = phi;
+                    v[j * n + i] = phi;
+                }
+            }
+            let sim = SimilarityMatrix::from_raw(n, v).unwrap();
+            let slink = Dendrogram::build(&sim, Linkage::Single).unwrap();
+            let oracle = Dendrogram::build_greedy(&sim, Linkage::Single).unwrap();
+
+            // Same partition at every merge level, same heights, same
+            // adaptive choice; only the order inside a tie may differ.
+            let heights = |d: &Dendrogram| -> Vec<u64> {
+                d.merges().iter().map(|m| m.distance.to_bits()).collect()
+            };
+            assert_eq!(heights(&slink), heights(&oracle));
+            for m in oracle.merges() {
+                assert_eq!(
+                    slink.cut(m.distance),
+                    oracle.cut(m.distance),
+                    "at {}",
+                    m.distance
+                );
+            }
+            let at = AdaptiveThreshold::default();
+            assert_eq!(at.choose(&slink).unwrap(), at.choose(&oracle).unwrap());
+            // Normalising the oracle's tree is SLINK's tree.
+            assert_eq!(merge_bits(&oracle.normalized()), merge_bits(&slink));
+
+            // batch ≡ one-row extends ≡ multi-row extend ≡ from_parts + extend.
+            let mut grown = Dendrogram::build(&leading(&sim, 1), Linkage::Single).unwrap();
+            for k in 2..=n {
+                grown.extend(&leading(&sim, k)).unwrap();
+            }
+            assert_eq!(merge_bits(&grown), merge_bits(&slink));
+            let split = rng.gen_range(1..=n);
+            let prefix = Dendrogram::build(&leading(&sim, split), Linkage::Single).unwrap();
+            let mut multi = prefix.clone();
+            multi.extend(&sim).unwrap();
+            assert_eq!(merge_bits(&multi), merge_bits(&slink));
+            let mut restored =
+                Dendrogram::from_parts(split, Linkage::Single, prefix.merges().to_vec()).unwrap();
+            restored.extend(&sim).unwrap();
+            assert_eq!(merge_bits(&restored), merge_bits(&slink));
+        });
+    }
+
+    #[test]
+    fn tied_merges_follow_leaf_order() {
+        // All six leaves equidistant: the leaf that stops being the
+        // smallest of its cluster orders each merge, so the tree is a chain
+        // growing from leaf 0 in leaf order.
+        let d = Dendrogram::build(&sim_from_dist(6, |_, _| 0.5), Linkage::Single).unwrap();
+        let pairs: Vec<(usize, usize)> = d.merges().iter().map(|m| (m.a, m.b)).collect();
+        assert_eq!(pairs, vec![(0, 1), (2, 6), (3, 7), (4, 8), (5, 9)]);
+        // The greedy engine pairs ties by cluster id instead.
+        let greedy = Dendrogram::build_greedy(&sim_from_dist(6, |_, _| 0.5), Linkage::Single);
+        let pairs: Vec<(usize, usize)> = greedy
+            .unwrap()
+            .merges()
+            .iter()
+            .map(|m| (m.a, m.b))
+            .collect();
+        assert_eq!(pairs, vec![(0, 1), (2, 3), (4, 5), (6, 7), (8, 9)]);
     }
 }

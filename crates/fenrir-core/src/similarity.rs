@@ -309,21 +309,30 @@ impl SimilarityMatrix {
     /// returned `Result` only carries *caller* errors (shape mismatches, a
     /// changed prefix); a divergence repairs itself and reports through
     /// the guard instead of failing the campaign.
+    ///
+    /// The batch recompute behind the check and the quarantine path runs
+    /// on [`SimilarityMatrix::compute_parallel`] over every available
+    /// core; its cells are bit-identical to a sequential compute.
+    ///
+    /// Returns whether the matrix now in place was checked against, or
+    /// rebuilt from, the batch computation.
     pub fn extend_guarded(
         &mut self,
         series: &VectorSeries,
         w: &Weights,
         policy: UnknownPolicy,
         guard: &mut DivergenceGuard,
-    ) -> Result<()> {
+    ) -> Result<bool> {
+        let threads = std::thread::available_parallelism().map_or(1, usize::from);
         if guard.quarantined() {
-            *self = Self::compute(series, w, policy)?;
-            return Ok(());
+            *self = Self::compute_parallel(series, w, policy, threads)?;
+            return Ok(true);
         }
         let old_n = self.n;
         self.extend(series, w, policy)?;
-        if guard.should_check(self.n > old_n) {
-            let batch = Self::compute(series, w, policy)?;
+        let check = guard.should_check(self.n > old_n);
+        if check {
+            let batch = Self::compute_parallel(series, w, policy, threads)?;
             let mismatch = self.n != batch.n
                 || self
                     .values
@@ -349,7 +358,7 @@ impl SimilarityMatrix {
                 *self = batch;
             }
         }
-        Ok(())
+        Ok(check)
     }
 
     /// Rebuild a matrix from its condensed lower-triangle buffer (the

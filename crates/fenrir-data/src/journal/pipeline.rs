@@ -524,9 +524,13 @@ impl RecoverablePipeline {
             let matrix = SimilarityMatrix::from_condensed(n, condensed)?;
             // Replay the dendrogram from the persisted merge prefix where
             // one exists, then extend over the delta observations — the
-            // same incremental path a live run takes.
+            // same incremental path a live run takes. A single-linkage
+            // prefix is first normalised to the canonical tie order, so a
+            // journal whose ties the greedy engine ordered folds on cleanly.
             let mut dendro = match merges {
-                Some((sn, m)) if sn > 0 => Dendrogram::from_parts(sn, pipe.cfg.linkage, m)?,
+                Some((sn, m)) if sn > 0 => {
+                    Dendrogram::from_parts(sn, pipe.cfg.linkage, m)?.normalized()
+                }
                 _ => Dendrogram::build(&matrix, pipe.cfg.linkage)?,
             };
             dendro.extend(&matrix)?;
@@ -608,13 +612,14 @@ impl RecoverablePipeline {
         }
         self.series.push(v)?;
         let i = self.series.len() - 1;
-        match &mut self.matrix {
+        let phi_audited = match &mut self.matrix {
             None => {
                 self.matrix = Some(SimilarityMatrix::compute(
                     &self.series,
                     &self.cfg.weights,
                     self.cfg.policy,
                 )?);
+                false
             }
             Some(m) => m.extend_guarded(
                 &self.series,
@@ -622,11 +627,18 @@ impl RecoverablePipeline {
                 self.cfg.policy,
                 &mut self.guard,
             )?,
-        }
+        };
         let matrix = self.matrix.as_ref().expect("matrix exists after extend");
         match &mut self.dendro {
             None => self.dendro = Some(Dendrogram::build(matrix, self.cfg.linkage)?),
-            Some(dd) => dd.extend_guarded(matrix, &mut self.guard)?,
+            Some(dd) => {
+                // Φ and the tree take alternate slots of the one guard, so
+                // at an even `eventful_every` the tree's own slot never
+                // comes up: audit it on every fold that audits Φ.
+                if !dd.extend_guarded(matrix, &mut self.guard)? && phi_audited {
+                    dd.audit(matrix, &mut self.guard)?;
+                }
+            }
         }
         let mut health = health;
         health.divergences += self.guard.drain_new();
@@ -999,5 +1011,79 @@ mod tests {
             ),
             Err(Error::Config { .. })
         ));
+    }
+
+    #[test]
+    fn every_fold_that_audits_phi_audits_the_tree() {
+        // The release rate: Φ and the tree share one guard and take
+        // alternate slots, so at 1-in-4 the tree's own slot never fires.
+        let sampling = SamplingRate {
+            eventful_every: 4,
+            quiet_every: 64,
+        };
+        let sites = SiteTable::from_names(["A", "B"]);
+        let mut pipe =
+            RecoverablePipeline::in_memory(sites, 4, PipelineConfig { sampling, ..cfg() }).unwrap();
+        feed(&mut pipe, 0..8);
+        // Poison the live tree: every merge recorded lower than the matrix
+        // says. Extends keep merges below a new row's nearest distance
+        // verbatim, so only an audit can repair this.
+        let tree = pipe.dendrogram().unwrap();
+        let poisoned = tree
+            .merges()
+            .iter()
+            .map(|m| Merge {
+                distance: m.distance - 0.125,
+                ..*m
+            })
+            .collect();
+        pipe.dendro = Some(Dendrogram::from_parts(tree.len(), tree.linkage(), poisoned).unwrap());
+        feed(&mut pipe, 8..24);
+        let trees = pipe
+            .guard()
+            .events()
+            .iter()
+            .filter(|e| {
+                matches!(
+                    e,
+                    Error::IncrementalDivergence {
+                        what: "dendrogram",
+                        ..
+                    }
+                )
+            })
+            .count();
+        assert_eq!(trees, 1, "{:?}", pipe.guard().events());
+        assert_eq!(pipe.guard().events().len(), 1, "Φ never diverged");
+        let batch = Dendrogram::build(pipe.matrix().unwrap(), Linkage::Single).unwrap();
+        assert_eq!(pipe.dendrogram().unwrap().merges(), batch.merges());
+    }
+
+    #[test]
+    fn restore_normalises_a_greedy_single_linkage_snapshot() {
+        // A snapshot whose tied merges the greedy engine ordered, as every
+        // single-linkage journal was written before SLINK.
+        let sites = SiteTable::from_names(["A", "B"]);
+        let mut live = RecoverablePipeline::in_memory(sites.clone(), 4, cfg()).unwrap();
+        feed(&mut live, 0..12);
+        let matrix = live.matrix().unwrap();
+        let legacy = Dendrogram::build_greedy(matrix, Linkage::Single).unwrap();
+        let canonical = Dendrogram::build(matrix, Linkage::Single).unwrap();
+        assert_ne!(legacy.merges(), canonical.merges(), "the feed must tie");
+        live.dendro = Some(legacy);
+        live.compact().unwrap();
+        let always = PipelineConfig {
+            sampling: SamplingRate::always(),
+            ..cfg()
+        };
+        let mut restored =
+            RecoverablePipeline::from_bytes(live.bytes().to_vec(), sites, 4, always).unwrap();
+        assert_eq!(restored.dendrogram().unwrap().merges(), canonical.merges());
+        feed(&mut restored, 12..20);
+        assert!(restored.guard().events().is_empty());
+        assert!(!restored.guard().quarantined());
+        assert!(restored.health().iter().all(|h| h.divergences == 0));
+        let batch = Dendrogram::build(restored.matrix().unwrap(), Linkage::Single).unwrap();
+        assert_eq!(restored.dendrogram().unwrap().merges(), batch.merges());
     }
 }
